@@ -128,8 +128,10 @@ cmake -B build-tsan -S . -DKLOTSKI_SANITIZE=thread
 cmake --build build-tsan -j"${JOBS}" --target test_core test_obs test_traffic test_sim test_whatif test_serve
 # Run the binaries directly: only these targets are built in the TSan tree,
 # and ctest would trip over the undiscovered sibling test targets.
+# The level-ordered DP hands each worker a contiguous chunk of every level's
+# batch; the all-families determinism suite drives it at 1, 2 and 4 threads.
 ./build-tsan/tests/test_core \
-  --gtest_filter='ParallelEvaluator.*:PresetsAToC/ParallelPlannerDeterminism.*'
+  --gtest_filter='ParallelEvaluator.*:PresetsAToC/ParallelPlannerDeterminism.*:AllFamilies/ParallelPlannerDeterminism.*:LevelDp.*'
 ./build-tsan/tests/test_obs
 # Intra-check router parallelism: the EcmpRouter worker pool under TSan.
 ./build-tsan/tests/test_traffic --gtest_filter='EcmpParallel*'
@@ -149,11 +151,17 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-tsan/tests/test_sim \
 
 # AddressSanitizer over the randomized ECMP equivalence suite: the flat-path
 # engine's epoch stamping / sparse slot bookkeeping is exactly the kind of
-# code where a stale-index bug reads garbage instead of crashing.
+# code where a stale-index bug reads garbage instead of crashing. The
+# block-walk and hand-built screen cases (EcmpEquivalence.*) also index the
+# per-group carried bitsets and patch distance snapshots in place.
 cmake -B build-asan -S . -DKLOTSKI_SANITIZE=address
-cmake --build build-asan -j"${JOBS}" --target test_traffic test_sim test_core test_util test_migration test_whatif
+cmake --build build-asan -j"${JOBS}" --target test_traffic test_sim test_core test_util test_migration test_whatif test_constraints
 ./build-asan/tests/test_traffic \
   --gtest_filter='EcmpEquivalence.*:EcmpParallel*'
+# Journal-driven port counts under ASan: per-switch counters and the
+# violator bitset are updated in place from journal entries, across a
+# journal wrap that forces the rescan fallback.
+./build-asan/tests/test_constraints --gtest_filter='PortChecker.*'
 # Chaos engine under ASan: fault scripts mutate live capacities, tear
 # blocks mid-apply, and resume from checkpoints — prime territory for
 # stale-pointer and overrun bugs that a plain run reads right through.

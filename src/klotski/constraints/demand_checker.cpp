@@ -33,13 +33,28 @@ Verdict DemandChecker::check(const topo::Topology& topo) {
 }
 
 Verdict DemandChecker::evaluate(const topo::Topology& topo) {
-  loads_.assign(topo.num_circuits() * 2, 0.0);
+  // Zero the load vector. After a successful bound assignment only the
+  // circuits it touched hold load, so clearing those is enough; any other
+  // previous outcome (or a resized topology) clears all 2|C| slots.
+  if (loads_dirty_valid_ && loads_.size() == topo.num_circuits() * 2) {
+    for (const topo::CircuitId c : loads_dirty_) {
+      loads_[static_cast<std::size_t>(c) * 2] = 0.0;
+      loads_[static_cast<std::size_t>(c) * 2 + 1] = 0.0;
+    }
+  } else {
+    loads_.assign(topo.num_circuits() * 2, 0.0);
+  }
+  loads_dirty_valid_ = false;
   last_max_utilization_ = 0.0;
 
   std::string failed_demand;
   if (!router_.assign_all(demands_, loads_, &failed_demand)) {
     return Verdict::fail("demand " + failed_demand +
                          " has no path in this topology");
+  }
+  if (router_.touched_valid()) {
+    loads_dirty_ = router_.touched_circuits();
+    loads_dirty_valid_ = true;
   }
 
   // Funneling inflation: a circuit whose endpoint switch also terminates

@@ -69,6 +69,10 @@ class DemandChecker : public Checker {
   traffic::DemandSet demands_;
   DemandCheckerParams params_;
   traffic::LoadVector loads_;           // scratch
+  /// Circuits holding load in loads_ after the last successful bound
+  /// assignment (the next check zeroes only these); invalid otherwise.
+  std::vector<topo::CircuitId> loads_dirty_;
+  bool loads_dirty_valid_ = false;
   std::vector<std::uint8_t> funneled_;  // scratch (per-switch)
   double last_max_utilization_ = 0.0;
 

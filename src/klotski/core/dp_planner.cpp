@@ -13,8 +13,46 @@
 namespace klotski::core {
 
 namespace {
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// A level's checks run in batches of at most this many states, so the
+/// deadline is read between batches: a level of a full-scale lattice can
+/// hold thousands of checks.
+constexpr std::size_t kMaxBatchStates = 512;
+
+/// The first state of a level in flat order (component 0 least
+/// significant): the level's total packed into the lowest components.
+void first_in_level(std::int32_t level, const CountVector& target,
+                    CountVector& counts) {
+  for (std::size_t a = 0; a < counts.size(); ++a) {
+    counts[a] = std::min(level, target[a]);
+    level -= counts[a];
+  }
 }
+
+/// Steps `counts` to the next state of its level in flat order; returns
+/// false after the last one. The next larger mixed-radix number with the
+/// same digit sum raises the lowest digit that has room and has some mass
+/// below it, then packs the remaining lower mass as low as possible.
+bool next_in_level(const CountVector& target, CountVector& counts) {
+  std::int32_t below = 0;
+  for (std::size_t a = 0; a < counts.size(); ++a) {
+    if (below > 0 && counts[a] < target[a]) {
+      ++counts[a];
+      std::int32_t rest = below - 1;
+      for (std::size_t b = 0; b < a; ++b) {
+        counts[b] = std::min(rest, target[b]);
+        rest -= counts[b];
+      }
+      return true;
+    }
+    below += counts[a];
+  }
+  return false;
+}
+
+}  // namespace
 
 Plan DpPlanner::plan(migration::MigrationTask& task,
                      constraints::CompositeChecker& checker,
@@ -117,123 +155,112 @@ Plan DpPlanner::plan(migration::MigrationTask& task,
   std::vector<std::uint8_t> safe(static_cast<std::size_t>(num_states), 2);
   safe[0] = 1;  // the origin was checked above
 
-  // Batched evaluation (options.num_threads > 1): the boundary states an
-  // index needs are known before its inner loop runs, so they can be
-  // checked concurrently on worker clones. The batch below contains exactly
-  // the states the serial lazy path would evaluate, so verdicts, sat-check
-  // counts and the resulting plan are bit-identical to num_threads == 1.
-  std::unique_ptr<ParallelEvaluator> parallel_eval;
-  if (options.num_threads > 1 && options.checker_factory) {
-    parallel_eval = std::make_unique<ParallelEvaluator>(
-        evaluator, options.checker_factory, options.num_threads);
-  }
+  // Level-ordered sweep. Level L holds the states with sum(V) == L; every
+  // predecessor V - e_a of a level-L state sits on level L - 1, so once
+  // level L - 1 is final, the predecessors level L will ask about are known
+  // up front: a type change after P needs P safe, so P is checked when it
+  // is not the origin and some finite-cost entry f(P, a') exists with
+  // a' != a for an action a that leads from P into the lattice; the sweep
+  // checks no other state. Each level evaluates them in ascending flat
+  // order, in batches of up to kMaxBatchStates (worker w takes a contiguous
+  // chunk, so its router sees neighbouring states), then fills the level's
+  // f/parent entries, which read only level L - 1 and so do not depend on
+  // the order within the level. Verdicts, sat-check counts and the plan are
+  // therefore identical at every thread count.
+  ParallelEvaluator batch_eval(evaluator, options.checker_factory,
+                               options.num_threads);
   StateBatch batch(static_cast<std::size_t>(num_types));
   std::vector<long long> batch_pidx;
-
-  CountVector counts(static_cast<std::size_t>(num_types), 0);
-  CountVector scratch(static_cast<std::size_t>(num_types), 0);
-  // The count hash rides the odometer: each digit change is one O(1)
-  // StateHasher::update, so predecessor probes below never rehash V.
-  std::uint64_t counts_hash = StateHasher::hash(counts);
-  for (long long idx = 1; idx < num_states; ++idx) {
-    // Advance the odometer to match idx.
+  const auto flat_index = [&](const CountVector& v) {
+    long long idx = 0;
+    for (std::size_t a = 0; a < v.size(); ++a) idx += v[a] * strides[a];
+    return idx;
+  };
+  // Whether some type change out of P (see above) will consult its safety.
+  const auto needs_check = [&](const CountVector& p, long long pidx) {
     for (std::int32_t a = 0; a < num_types; ++a) {
-      const std::int32_t before = counts[static_cast<std::size_t>(a)];
-      if (++counts[static_cast<std::size_t>(a)] <=
-          target[static_cast<std::size_t>(a)]) {
-        counts_hash = StateHasher::update(counts_hash, a, before, before + 1);
-        break;
+      const auto ai = static_cast<std::size_t>(a);
+      if (p[ai] == target[ai]) continue;
+      for (std::int32_t ap = 0; ap < num_types; ++ap) {
+        if (ap != a &&
+            f[static_cast<std::size_t>(pidx * num_types + ap)] != kInf) {
+          return true;
+        }
       }
-      counts[static_cast<std::size_t>(a)] = 0;
-      counts_hash = StateHasher::update(counts_hash, a, before, 0);
     }
+    return false;
+  };
 
-    if ((idx & 127) == 0 && deadline.expired()) {
-      plan.failure = "timeout";
-      return finish(std::move(plan));
-    }
-    ++plan.stats.visited_states;
-
-    if (parallel_eval != nullptr) {
-      // Collect the distinct predecessors whose safety this index will ask
-      // for: pidx != origin, not yet evaluated, and some finite-cost entry
-      // of a different type exists (the lazy trigger below). Distinctness
-      // holds because strides of types with blocks are strictly increasing.
+  std::int32_t top_level = 0;
+  for (const std::int32_t t : target) top_level += t;
+  CountVector counts(static_cast<std::size_t>(num_types), 0);
+  for (std::int32_t level = 1; level <= top_level; ++level) {
+    // Predecessor checks: level 1's only predecessor is the origin.
+    bool more = level >= 2;
+    if (more) first_in_level(level - 1, target, counts);
+    while (more) {
+      if (deadline.expired()) {
+        plan.failure = "timeout";
+        return finish(std::move(plan));
+      }
       batch.clear();
       batch_pidx.clear();
+      do {
+        const long long pidx = flat_index(counts);
+        if (needs_check(counts, pidx)) {
+          batch.push(counts.data(), StateHasher::hash(counts));
+          batch_pidx.push_back(pidx);
+        }
+        more = next_in_level(target, counts);
+      } while (more && batch.size() < kMaxBatchStates);
+      if (batch.empty()) continue;
+      const auto& verdicts = batch_eval.evaluate_batch(batch);
+      for (std::size_t k = 0; k < batch_pidx.size(); ++k) {
+        safe[static_cast<std::size_t>(batch_pidx[k])] = verdicts[k] ? 1 : 0;
+      }
+    }
+
+    first_in_level(level, target, counts);
+    do {
+      if ((plan.stats.visited_states & 127) == 127 && deadline.expired()) {
+        plan.failure = "timeout";
+        return finish(std::move(plan));
+      }
+      ++plan.stats.visited_states;
+      const long long idx = flat_index(counts);
+
       for (std::int32_t a = 0; a < num_types; ++a) {
         if (counts[static_cast<std::size_t>(a)] == 0) continue;
         const long long pidx = idx - strides[static_cast<std::size_t>(a)];
-        if (pidx == 0 || safe[static_cast<std::size_t>(pidx)] != 2) continue;
-        bool needed = false;
-        for (std::int32_t ap = 0; ap < num_types; ++ap) {
-          if (ap != a &&
-              f[static_cast<std::size_t>(pidx * num_types + ap)] != kInf) {
-            needed = true;
-            break;
-          }
-        }
-        if (!needed) continue;
-        scratch = counts;
-        --scratch[static_cast<std::size_t>(a)];
-        batch.push(scratch.data(),
-                   StateHasher::update(counts_hash, a,
-                                       counts[static_cast<std::size_t>(a)],
-                                       scratch[static_cast<std::size_t>(a)]));
-        batch_pidx.push_back(pidx);
-      }
-      if (!batch.empty()) {
-        const auto& verdicts = parallel_eval->evaluate_batch(batch);
-        for (std::size_t k = 0; k < batch_pidx.size(); ++k) {
-          safe[static_cast<std::size_t>(batch_pidx[k])] = verdicts[k] ? 1 : 0;
-        }
-      }
-    }
+        ++plan.stats.generated_states;
 
-    for (std::int32_t a = 0; a < num_types; ++a) {
-      if (counts[static_cast<std::size_t>(a)] == 0) continue;
-      const long long pidx = idx - strides[static_cast<std::size_t>(a)];
-      ++plan.stats.generated_states;
-
-      double best = kInf;
-      std::int8_t best_parent = -2;
-      if (pidx == 0) {
-        // Predecessor is the origin (safe); the first action costs 1.
-        best = cost.transition_cost(-1, a);
-        best_parent = -1;
-      } else {
-        for (std::int32_t ap = 0; ap < num_types; ++ap) {
-          const double pf =
-              f[static_cast<std::size_t>(pidx * num_types + ap)];
-          if (pf == kInf) continue;
-          if (ap != a) {
-            // Type change: the predecessor topology must be safe.
-            if (safe[static_cast<std::size_t>(pidx)] == 2) {
-              scratch = counts;
-              --scratch[static_cast<std::size_t>(a)];
-              safe[static_cast<std::size_t>(pidx)] =
-                  evaluator.feasible(
-                      scratch.data(),
-                      StateHasher::update(
-                          counts_hash, a, counts[static_cast<std::size_t>(a)],
-                          scratch[static_cast<std::size_t>(a)]))
-                      ? 1
-                      : 0;
+        double best = kInf;
+        std::int8_t best_parent = -2;
+        if (pidx == 0) {
+          // Predecessor is the origin (safe); the first action costs 1.
+          best = cost.transition_cost(-1, a);
+          best_parent = -1;
+        } else {
+          for (std::int32_t ap = 0; ap < num_types; ++ap) {
+            const double pf =
+                f[static_cast<std::size_t>(pidx * num_types + ap)];
+            if (pf == kInf) continue;
+            // Type change: the predecessor topology must be safe (the
+            // level batch above evaluated every such predecessor).
+            if (ap != a && safe[static_cast<std::size_t>(pidx)] != 1) continue;
+            const double candidate = pf + cost.transition_cost(ap, a);
+            if (candidate < best) {
+              best = candidate;
+              best_parent = static_cast<std::int8_t>(ap);
             }
-            if (safe[static_cast<std::size_t>(pidx)] == 0) continue;
-          }
-          const double candidate = pf + cost.transition_cost(ap, a);
-          if (candidate < best) {
-            best = candidate;
-            best_parent = static_cast<std::int8_t>(ap);
           }
         }
+        if (best < kInf) {
+          f[static_cast<std::size_t>(idx * num_types + a)] = best;
+          parent[static_cast<std::size_t>(idx * num_types + a)] = best_parent;
+        }
       }
-      if (best < kInf) {
-        f[static_cast<std::size_t>(idx * num_types + a)] = best;
-        parent[static_cast<std::size_t>(idx * num_types + a)] = best_parent;
-      }
-    }
+    } while (next_in_level(target, counts));
   }
 
   // Goal: cheapest f(target, a); the target topology itself was verified

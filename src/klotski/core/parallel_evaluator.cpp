@@ -19,6 +19,12 @@ ParallelEvaluator::ParallelEvaluator(StateEvaluator& shared,
     // per-worker cache would double-count hits relative to the serial run.
     ctx->evaluator =
         std::make_unique<StateEvaluator>(*ctx->task, *ctx->checker, false);
+    // One check of the origin here, on the calling thread, sizes the
+    // worker's per-topology buffers (router group caches, load vectors,
+    // port counts). Buffers first allocated on a worker thread would live in
+    // that thread's malloc arena, whose freed pages stay resident after the
+    // pool is gone: on the full-scale plans that added ~15 MB of peak RSS.
+    ctx->evaluator->feasible(CountVector(source.blocks.size(), 0));
     contexts_.push_back(std::move(ctx));
   }
   threads_.reserve(contexts_.size());
@@ -38,27 +44,29 @@ ParallelEvaluator::~ParallelEvaluator() {
 
 void ParallelEvaluator::worker_loop(std::size_t widx) {
   WorkerContext& ctx = *contexts_[widx];
+  const std::size_t workers = contexts_.size();
   std::uint64_t seen = 0;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
     if (stop_) return;
     seen = generation_;
-    ++active_;
+    const std::size_t njobs = njobs_;
     lock.unlock();
 
-    for (;;) {
-      const std::size_t k = next_.fetch_add(1, std::memory_order_relaxed);
-      if (k >= njobs_) break;
+    // One contiguous chunk per worker: the planners batch states in
+    // ascending flat order, so neighbouring jobs differ by a few blocks and
+    // this worker's delta materialization and router caches stay warm.
+    const std::size_t begin = njobs * widx / workers;
+    const std::size_t end = njobs * (widx + 1) / workers;
+    for (std::size_t k = begin; k < end; ++k) {
       job_results_[k] =
           ctx.evaluator->feasible(pending_[k].counts, pending_[k].hash) ? 1
                                                                         : 0;
     }
 
     lock.lock();
-    if (--active_ == 0 && next_.load(std::memory_order_relaxed) >= njobs_) {
-      done_cv_.notify_all();
-    }
+    if (--unfinished_ == 0) done_cv_.notify_all();
   }
 }
 
@@ -75,6 +83,14 @@ const std::vector<std::uint8_t>& ParallelEvaluator::evaluate_batch(
 const std::vector<std::uint8_t>& ParallelEvaluator::evaluate_batch(
     const StateBatch& batch) {
   results_.assign(batch.size(), 0);
+  if (!parallel()) {
+    // No workers: exactly the serial code path on the shared evaluator,
+    // cache probes and stat accounting included.
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      results_[i] = shared_.feasible(batch.counts(i), batch.hash(i)) ? 1 : 0;
+    }
+    return results_;
+  }
   pending_.clear();
   pending_index_.clear();
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -90,14 +106,12 @@ const std::vector<std::uint8_t>& ParallelEvaluator::evaluate_batch(
   }
   if (pending_.empty()) return results_;
 
-  // Serial fallback: no workers, or a single job that a dispatch round-trip
-  // could only slow down. Runs on the shared evaluator, which does its own
-  // cache store and stat accounting — exactly the serial code path.
-  if (!parallel() || pending_.size() == 1) {
-    for (std::size_t k = 0; k < pending_.size(); ++k) {
-      results_[pending_index_[k]] =
-          shared_.feasible(pending_[k].counts, pending_[k].hash) ? 1 : 0;
-    }
+  // A single job that a dispatch round-trip could only slow down runs on
+  // the shared evaluator, which does its own cache store and stat
+  // accounting — exactly the serial code path.
+  if (pending_.size() == 1) {
+    results_[pending_index_[0]] =
+        shared_.feasible(pending_[0].counts, pending_[0].hash) ? 1 : 0;
     return results_;
   }
 
@@ -105,16 +119,13 @@ const std::vector<std::uint8_t>& ParallelEvaluator::evaluate_batch(
   {
     std::lock_guard<std::mutex> lock(mu_);
     njobs_ = pending_.size();
-    next_.store(0, std::memory_order_relaxed);
+    unfinished_ = contexts_.size();
     ++generation_;
   }
   work_cv_.notify_all();
   {
     std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] {
-      return active_ == 0 &&
-             next_.load(std::memory_order_relaxed) >= njobs_;
-    });
+    done_cv_.wait(lock, [&] { return unfinished_ == 0; });
   }
 
   // Merge on the calling thread: shared cache and stats are only ever

@@ -5,8 +5,9 @@
 // states can be checked concurrently. Each worker owns a full private
 // evaluation context (a topology clone, a task copy pointing at that clone,
 // a constraint stack built by the planner's CheckerFactory, and a private
-// StateEvaluator), so workers never synchronize during a batch; the only
-// shared structure is a lock-free job cursor. The shared evaluator's
+// StateEvaluator), so workers never synchronize during a batch: each takes
+// one contiguous chunk of the batch, so a batch in ascending flat order
+// hands every worker neighbouring states. The shared evaluator's
 // satisfiability cache is consulted before dispatch and updated after the
 // batch on the calling thread, so the cache itself needs no locking.
 //
@@ -25,7 +26,6 @@
 // product.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -43,7 +43,8 @@ class ParallelEvaluator {
   /// Spawns `num_threads` workers, each with a private clone of the shared
   /// evaluator's task (topology copy included) and a constraint stack built
   /// by `factory`. num_threads <= 1 or a null factory spawns no workers;
-  /// evaluate_batch then runs on the shared evaluator (serial semantics).
+  /// evaluate_batch then calls the shared evaluator's feasible() on every
+  /// entry in order — the serial code path, cache hits counted as such.
   ParallelEvaluator(StateEvaluator& shared, const CheckerFactory& factory,
                     int num_threads);
   ~ParallelEvaluator();
@@ -55,11 +56,11 @@ class ParallelEvaluator {
 
   /// Evaluates feasibility of every count vector in `batch` (entries must
   /// be distinct) and returns verdicts aligned with it, valid until the
-  /// next call. Entries already in the shared cache are answered from it
-  /// without touching the shared stats — the planners only batch states the
-  /// serial code would evaluate, keeping sat_checks identical. Freshly
-  /// evaluated entries are stored into the shared cache (when enabled) and
-  /// counted via StateEvaluator::absorb_external.
+  /// next call. With workers, entries already in the shared cache are
+  /// answered from it without touching the shared stats — the planners only
+  /// batch states the serial code would evaluate, keeping sat_checks
+  /// identical. Freshly evaluated entries are stored into the shared cache
+  /// (when enabled) and counted via StateEvaluator::absorb_external.
   const std::vector<std::uint8_t>& evaluate_batch(
       const std::vector<CountVector>& batch);
 
@@ -82,17 +83,16 @@ class ParallelEvaluator {
   std::vector<std::unique_ptr<WorkerContext>> contexts_;
   std::vector<std::thread> threads_;
 
-  // Batch state, valid for one generation. Workers claim jobs via next_;
-  // the caller waits until every claimed job finished and every worker left
-  // the drain loop (active_ == 0) before reusing the buffers.
+  // Batch state, valid for one generation. Worker w evaluates jobs
+  // [njobs_ * w / W, njobs_ * (w + 1) / W); the caller waits until every
+  // worker finished its chunk (unfinished_ == 0) before reusing the buffers.
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   std::uint64_t generation_ = 0;
   bool stop_ = false;
-  int active_ = 0;
+  std::size_t unfinished_ = 0;
   std::size_t njobs_ = 0;
-  std::atomic<std::size_t> next_{0};
   struct Job {
     const std::int32_t* counts;
     std::uint64_t hash;

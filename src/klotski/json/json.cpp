@@ -256,7 +256,26 @@ class Parser {
     }
   }
 
+  /// Counts one level of array/object nesting for its scope; the parser
+  /// recurses once per level, so the cap bounds its stack use.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxParseDepth) {
+        parser_.fail("nesting deeper than " + std::to_string(kMaxParseDepth) +
+                     " levels");
+      }
+    }
+    ~DepthGuard() { --parser_.depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   Value parse_object() {
+    const DepthGuard guard(*this);
     expect('{');
     Object obj;
     skip_whitespace();
@@ -282,6 +301,7 @@ class Parser {
   }
 
   Value parse_array() {
+    const DepthGuard guard(*this);
     expect('[');
     Array arr;
     skip_whitespace();
@@ -419,6 +439,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around pos_
 };
 
 namespace {

@@ -100,7 +100,13 @@ class Value {
       data_;
 };
 
-/// Parses a complete JSON document; trailing non-space input is an error.
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so without a cap a short run of '[' from an untrusted peer
+/// would overflow the stack.
+inline constexpr int kMaxParseDepth = 256;
+
+/// Parses a complete JSON document; trailing non-space input is an error,
+/// and so is nesting deeper than kMaxParseDepth.
 Value parse(std::string_view text);
 
 /// Serializes. indent < 0 => compact single line; otherwise pretty-printed.

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "klotski/obs/metrics.h"
 #include "klotski/util/file.h"
 #include "klotski/util/hash.h"
 
@@ -71,7 +70,17 @@ bool PlanCache::decode_spill(const std::string& file_bytes,
   return true;
 }
 
-PlanCache::PlanCache(const Options& options) : options_(options) {
+PlanCache::PlanCache(const Options& options)
+    : options_(options),
+      m_hits_(obs::Registry::global().counter("serve.cache_hits")),
+      m_misses_(obs::Registry::global().counter("serve.cache_misses")),
+      m_coalesced_(obs::Registry::global().counter("serve.cache_coalesced")),
+      m_evictions_(obs::Registry::global().counter("serve.cache_evictions")),
+      m_spill_hits_(obs::Registry::global().counter("serve.cache_spill_hits")),
+      m_spill_writes_(
+          obs::Registry::global().counter("serve.cache_spill_writes")),
+      m_spill_corrupt_(
+          obs::Registry::global().counter("serve.cache_spill_corrupt")) {
   if (options_.shards < 1) options_.shards = 1;
   const auto shard_count = static_cast<std::size_t>(options_.shards);
   per_shard_capacity_ =
@@ -106,7 +115,7 @@ bool PlanCache::read_spill(const std::string& key, std::string& text_out) {
   // file, and make sure this never serves as a hit.
   std::filesystem::remove(path, ec);
   spill_corrupt_.fetch_add(1, std::memory_order_relaxed);
-  obs::Registry::global().counter("serve.cache_spill_corrupt").inc();
+  m_spill_corrupt_.inc();
   return false;
 }
 
@@ -133,7 +142,7 @@ void PlanCache::write_spill(const std::string& key, const std::string& text) {
     return;
   }
   spill_writes_.fetch_add(1, std::memory_order_relaxed);
-  obs::Registry::global().counter("serve.cache_spill_writes").inc();
+  m_spill_writes_.inc();
 }
 
 PlanCache::Lookup PlanCache::acquire(const std::string& key) {
@@ -144,13 +153,13 @@ PlanCache::Lookup PlanCache::acquire(const std::string& key) {
     if (auto it = shard.completed.find(key); it != shard.completed.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
       hits_.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::global().counter("serve.cache_hits").inc();
+      m_hits_.inc();
       return Lookup{Outcome::kHit, it->second.text, nullptr};
     }
 
     if (auto it = shard.in_flight.find(key); it != shard.in_flight.end()) {
       coalesced_.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::global().counter("serve.cache_coalesced").inc();
+      m_coalesced_.inc();
       return Lookup{Outcome::kWait, std::string(), it->second};
     }
 
@@ -159,7 +168,7 @@ PlanCache::Lookup PlanCache::acquire(const std::string& key) {
       auto entry = std::make_shared<Entry>(key);
       shard.in_flight[key] = entry;
       misses_.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::global().counter("serve.cache_misses").inc();
+      m_misses_.inc();
       return Lookup{Outcome::kOwner, std::string(), entry};
     }
   }
@@ -176,7 +185,7 @@ PlanCache::Lookup PlanCache::acquire(const std::string& key) {
       evict_shard_locked(shard);
     }
     spill_hits_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::global().counter("serve.cache_spill_hits").inc();
+    m_spill_hits_.inc();
     return Lookup{Outcome::kHit, text, nullptr};
   }
 
@@ -186,18 +195,18 @@ PlanCache::Lookup PlanCache::acquire(const std::string& key) {
   if (auto it = shard.completed.find(key); it != shard.completed.end()) {
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
     hits_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::global().counter("serve.cache_hits").inc();
+    m_hits_.inc();
     return Lookup{Outcome::kHit, it->second.text, nullptr};
   }
   if (auto it = shard.in_flight.find(key); it != shard.in_flight.end()) {
     coalesced_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::global().counter("serve.cache_coalesced").inc();
+    m_coalesced_.inc();
     return Lookup{Outcome::kWait, std::string(), it->second};
   }
   auto entry = std::make_shared<Entry>(key);
   shard.in_flight[key] = entry;
   misses_.fetch_add(1, std::memory_order_relaxed);
-  obs::Registry::global().counter("serve.cache_misses").inc();
+  m_misses_.inc();
   return Lookup{Outcome::kOwner, std::string(), entry};
 }
 
@@ -271,7 +280,7 @@ void PlanCache::evict_shard_locked(Shard& shard) {
     shard.completed.erase(shard.lru.back());
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::global().counter("serve.cache_evictions").inc();
+    m_evictions_.inc();
   }
 }
 

@@ -46,6 +46,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "klotski/obs/metrics.h"
+
 namespace klotski::serve {
 
 class PlanCache {
@@ -161,6 +163,16 @@ class PlanCache {
   std::atomic<long long> spill_hits_{0};
   std::atomic<long long> spill_writes_{0};
   std::atomic<long long> spill_corrupt_{0};
+
+  // obs mirrors of the counters above, looked up once here: the registry
+  // lookup takes its global mutex, which must not sit under a shard lock.
+  obs::Counter& m_hits_;
+  obs::Counter& m_misses_;
+  obs::Counter& m_coalesced_;
+  obs::Counter& m_evictions_;
+  obs::Counter& m_spill_hits_;
+  obs::Counter& m_spill_writes_;
+  obs::Counter& m_spill_corrupt_;
 };
 
 }  // namespace klotski::serve

@@ -44,18 +44,16 @@ EcmpRouter::EcmpRouter(const topo::Topology& topo, SplitMode mode)
     offsets_[i] += offsets_[i - 1];
   }
   arcs_.resize(offsets_[num_switches_]);
+  capacities_.resize(topo.num_circuits());
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (const topo::Circuit& c : topo.circuits()) {
     const auto cid = static_cast<std::size_t>(c.id);
-    const auto word = static_cast<std::uint32_t>(cid >> 6);
-    const std::uint64_t mask = std::uint64_t{1} << (cid & 63);
     // Direction slot convention: 2c is a -> b, 2c + 1 is b -> a.
     arcs_[cursor[static_cast<std::size_t>(c.a)]++] =
-        Arc{c.b, static_cast<std::uint32_t>(cid * 2), word, 0, mask,
-            c.capacity_tbps};
+        Arc{c.b, static_cast<std::uint32_t>(cid * 2)};
     arcs_[cursor[static_cast<std::size_t>(c.b)]++] =
-        Arc{c.a, static_cast<std::uint32_t>(cid * 2 + 1), word, 0, mask,
-            c.capacity_tbps};
+        Arc{c.a, static_cast<std::uint32_t>(cid * 2 + 1)};
+    capacities_[cid] = c.capacity_tbps;
   }
 
   scratch_.init(num_switches_);
@@ -71,6 +69,7 @@ void EcmpRouter::Scratch::init(std::size_t num_switches) {
   visit_order.clear();
   visit_order.reserve(num_switches);
   volume.assign(num_switches, 0.0);
+  carried.assign(num_switches, 0);
 }
 
 void EcmpRouter::Scratch::begin_bfs() {
@@ -118,12 +117,10 @@ void EcmpRouter::refresh_alive() {
     m_alive_full_rebuilds_.inc();
     topo_.liveness_words(alive_words_);
     // The full-rebuild path is also where out-of-band capacity edits land
-    // (bump_state_version resets journal coverage), so re-inline the split
-    // weights while we are touching every arc's circuit anyway.
-    for (Arc& arc : arcs_) {
-      arc.capacity_tbps =
-          topo_.circuit(static_cast<CircuitId>(arc.fwd_slot >> 1))
-              .capacity_tbps;
+    // (bump_state_version resets journal coverage), so re-read the split
+    // weights while we are touching every circuit anyway.
+    for (const topo::Circuit& c : topo_.circuits()) {
+      capacities_[static_cast<std::size_t>(c.id)] = c.capacity_tbps;
     }
   }
   alive_valid_ = true;
@@ -141,6 +138,7 @@ std::size_t EcmpRouter::bfs_from_targets(Scratch& s,
       s.stamp[ti] = s.epoch;
       s.dist[ti] = 0;
       s.volume[ti] = 0.0;  // lazy zero: only visited switches pay
+      s.carried[ti] = 0;
       s.visit_order.push_back(t);
     }
   }
@@ -155,12 +153,13 @@ std::size_t EcmpRouter::bfs_from_targets(Scratch& s,
     for (std::uint32_t i = offsets_[static_cast<std::size_t>(u)]; i < end;
          ++i) {
       const Arc& arc = arcs_[i];
-      if (!(alive_words_[arc.alive_word] & arc.alive_mask)) continue;
+      if (!arc_alive(arc)) continue;
       const auto ni = static_cast<std::size_t>(arc.neighbor);
       if (s.stamp[ni] != s.epoch) {
         s.stamp[ni] = s.epoch;
         s.dist[ni] = du + 1;
         s.volume[ni] = 0.0;
+        s.carried[ni] = 0;
         s.visit_order.push_back(arc.neighbor);
       }
     }
@@ -198,6 +197,9 @@ bool EcmpRouter::inject_sources(Scratch& s,
     for (const SwitchId src : demand->sources) {
       if (topo_.sw(src).active() && s.reached(src)) {
         s.volume[static_cast<std::size_t>(src)] += per_source;
+        // Carried even at zero volume: cutting this source's paths must
+        // still fail the group, so the screen has to watch them.
+        s.carried[static_cast<std::size_t>(src)] = 1;
       }
     }
   }
@@ -210,11 +212,12 @@ void EcmpRouter::propagate(Scratch& s, std::vector<LoadEntry>& out) const {
   // circuits toward neighbors one step closer to a target. A directional
   // slot is appended at most once: the arc u -> n is a DAG edge only when
   // dist[n] == dist[u] - 1, which the reverse direction cannot satisfy, and
-  // each directed arc is scanned exactly once.
+  // each directed arc is scanned exactly once. Every switch holding volume
+  // is carried (volume only enters at carried sources and flows to next
+  // hops, which become carried), so the carried walk covers the volume walk.
   for (std::size_t idx = s.visit_order.size(); idx-- > 0;) {
     const SwitchId u = s.visit_order[idx];
-    const double vol = s.volume[static_cast<std::size_t>(u)];
-    if (vol <= 0.0) continue;
+    if (!s.carried[static_cast<std::size_t>(u)]) continue;
     const std::int32_t du = s.dist[static_cast<std::size_t>(u)];
     if (du == 0) continue;  // absorbed at a target
 
@@ -228,20 +231,20 @@ void EcmpRouter::propagate(Scratch& s, std::vector<LoadEntry>& out) const {
     for (std::uint32_t i = offsets_[static_cast<std::size_t>(u)]; i < end;
          ++i) {
       const Arc& arc = arcs_[i];
-      if (!(alive_words_[arc.alive_word] & arc.alive_mask)) continue;
+      if (!arc_alive(arc)) continue;
       assert(s.reached(arc.neighbor));
       if (s.dist[static_cast<std::size_t>(arc.neighbor)] != du - 1) continue;
       s.next_hops.push_back(i);
-      total_weight +=
-          mode_ == SplitMode::kEqualSplit ? 1.0 : arc.capacity_tbps;
+      s.carried[static_cast<std::size_t>(arc.neighbor)] = 1;
+      total_weight += arc_weight(arc);
     }
     assert(total_weight > 0.0 && "reached switch must have a next hop");
 
+    const double vol = s.volume[static_cast<std::size_t>(u)];
+    if (vol <= 0.0) continue;  // carried by a zero-volume demand only
     for (const std::uint32_t i : s.next_hops) {
       const Arc& arc = arcs_[i];
-      const double weight =
-          mode_ == SplitMode::kEqualSplit ? 1.0 : arc.capacity_tbps;
-      const double share = vol * weight / total_weight;
+      const double share = vol * arc_weight(arc) / total_weight;
       out.push_back(LoadEntry{arc.fwd_slot, share});
       s.volume[static_cast<std::size_t>(arc.neighbor)] += share;
     }
@@ -332,15 +335,21 @@ bool EcmpRouter::recompute_group(Scratch& s, DemandGroup& g,
   if (!run_group(s, *bound_, g.demand_indices, g.entries, failed_demand)) {
     return false;
   }
-  // Materialize a dense distance snapshot for the dirty screening (it reads
-  // arbitrary endpoints, so sparse stamped storage would not help there).
+  // Materialize dense distance and carried snapshots for the dirty
+  // screening (it reads arbitrary endpoints, so sparse stamped storage would
+  // not help there).
   if (g.dist.size() == num_switches_) {
     std::fill(g.dist.begin(), g.dist.end(), kUnreached);
   } else {
     g.dist.assign(num_switches_, kUnreached);
   }
+  g.carried_words.assign(word_count(num_switches_), 0);
   for (const SwitchId u : s.visit_order) {
-    g.dist[static_cast<std::size_t>(u)] = s.dist[static_cast<std::size_t>(u)];
+    const auto ui = static_cast<std::size_t>(u);
+    g.dist[ui] = s.dist[ui];
+    if (s.carried[ui]) {
+      g.carried_words[ui >> 6] |= std::uint64_t{1} << (ui & 63);
+    }
   }
   g.valid = true;
   return true;
@@ -419,14 +428,34 @@ void EcmpRouter::mark_dirty_groups(
     }
   }
 
-  // A liveness flip of circuit (a, b) can change a group's DAG or distances
-  // only when, under the group's cached distances:
-  //  * circuit now alive: it could shorten paths or add a DAG edge unless
-  //    both endpoints were reached at equal distance (a same-level chord is
-  //    never on a shortest path) or both were unreached (an edge between two
-  //    unreached switches cannot connect either to a target);
-  //  * circuit now dead: it could only have mattered when it was a DAG edge
-  //    candidate, i.e. both endpoints reached at distances differing by 1.
+  // A liveness flip of circuit (a, b) dirties a group, under the group's
+  // cached distances cd and carried set K, when:
+  //  * the circuit is now alive, exactly one endpoint x is unreached, and x
+  //    has another unreached alive neighbor; otherwise x is attached at one
+  //    step above its nearest neighbor (attach_switch) and the rules below
+  //    apply;
+  //  * the endpoints sit at adjacent cached distances (the circuit is, or
+  //    was, a DAG edge candidate) and the farther endpoint is carried;
+  //  * otherwise, the circuit is now alive and its endpoints are neither
+  //    reached at equal distance (a same-level chord is never on a shortest
+  //    path) nor both unreached (an edge between two unreached switches
+  //    cannot connect either to a target).
+  // Exactness. Between recomputes cd changes only by attaching switches,
+  // and it satisfies, for every alive circuit, |cd(a) - cd(b)| <= 1 or both
+  // unreached: true at the recompute, kept by every alive circuit that
+  // passes the rules above, and unaffected by circuits dying. Walking any
+  // alive path to a target then shows cd is a lower bound on the true
+  // distance, and that cd-unreached switches are truly unreached. A
+  // carried switch keeps its cached DAG path to a target (each hop is an
+  // adjacent-distance circuit with a carried farther endpoint, so no flip
+  // of it passed), hence its distance is exact; and the circuits to its
+  // cd - 1 neighbors never flipped, so its next hops are unchanged (an
+  // attached switch at cd - 1 is joined by such a circuit in the same
+  // batch, which dirties the group). Next hops of carried switches are
+  // carried, so a BFS discoverer of a carried switch is carried too: by
+  // induction on distance, carried switches keep their distances, next hops
+  // and visit order, and propagation repeats every floating-point sum
+  // exactly.
   // Conservative: a circuit journaled without a net liveness change may
   // still mark a group dirty; never the other way around.
   long long screened = 0;
@@ -442,22 +471,28 @@ void EcmpRouter::mark_dirty_groups(
       const bool alive_now = circuit_alive(c);
       for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
         if (dirty[gi]) continue;
-        const DemandGroup& g = groups_[gi];
+        DemandGroup& g = groups_[gi];
         if (g.dist.size() != num_switches_) {
           dirty[gi] = 1;  // no usable snapshot: recompute
           continue;
         }
-        const std::int32_t da = g.dist[static_cast<std::size_t>(cc.a)];
-        const std::int32_t db = g.dist[static_cast<std::size_t>(cc.b)];
-        if (alive_now) {
+        std::int32_t da = g.dist[static_cast<std::size_t>(cc.a)];
+        std::int32_t db = g.dist[static_cast<std::size_t>(cc.b)];
+        if (alive_now && (da == kUnreached) != (db == kUnreached)) {
+          if (!attach_switch(g, da == kUnreached ? cc.a : cc.b)) {
+            dirty[gi] = 1;
+            continue;
+          }
+          da = g.dist[static_cast<std::size_t>(cc.a)];
+          db = g.dist[static_cast<std::size_t>(cc.b)];
+        }
+        if (da != kUnreached && db != kUnreached &&
+            (da - db == 1 || db - da == 1)) {
+          if (carried(g, da > db ? cc.a : cc.b)) dirty[gi] = 1;
+        } else if (alive_now) {
           const bool equal_reached = da != kUnreached && da == db;
           const bool both_unreached = da == kUnreached && db == kUnreached;
           if (!equal_reached && !both_unreached) dirty[gi] = 1;
-        } else {
-          if (da != kUnreached && db != kUnreached &&
-              (da - db == 1 || db - da == 1)) {
-            dirty[gi] = 1;
-          }
         }
       }
     }
@@ -471,6 +506,29 @@ void EcmpRouter::mark_dirty_groups(
   for (const std::uint32_t w : changed_circuit_word_idx_) {
     changed_circuit_words_[w] = 0;
   }
+}
+
+bool EcmpRouter::attach_switch(DemandGroup& g, SwitchId x) const {
+  // x is active (it has an alive circuit) and unreached in the snapshot, so
+  // it is neither a target nor a source of this group (one that changed
+  // state already dirtied the group), and its true distance is one more
+  // than its nearest alive neighbor's. When every
+  // alive neighbor is reached, cd(x) = lo + 1 is a lower bound on it. Each
+  // alive circuit of x is in this journal batch (before it, x was unreached
+  // and the snapshot kept reached and unreached switches apart), so the
+  // per-circuit rules then screen all of them against this cd: a neighbor
+  // more than one step away, or a carried neighbor at lo + 2 that would gain
+  // x as a next hop, still dirties the group.
+  std::int32_t lo = kUnreached;
+  const std::uint32_t end = offsets_[static_cast<std::size_t>(x) + 1];
+  for (std::uint32_t i = offsets_[static_cast<std::size_t>(x)]; i < end; ++i) {
+    if (!arc_alive(arcs_[i])) continue;
+    const std::int32_t d = g.dist[static_cast<std::size_t>(arcs_[i].neighbor)];
+    if (d == kUnreached) return false;  // x joins with others: recompute
+    if (lo == kUnreached || d < lo) lo = d;
+  }
+  g.dist[static_cast<std::size_t>(x)] = lo + 1;
+  return true;
 }
 
 void EcmpRouter::rebuild_total(std::size_t load_size) {

@@ -20,12 +20,19 @@
 //    O(|S|) arrays; only visited switches are written.
 //  * Word-packed liveness — "circuit carries traffic" lives in uint64 words
 //    (bit per circuit), refreshed by journal replay; per-group relevant
-//    switch sets are packed the same way so the dirty screening in
-//    mark_dirty_groups is word-AND + popcount work, not byte scans.
-//  * Flat arc records — the CSR arc inlines the neighbor, the directional
-//    load slot, the liveness word/mask, and the circuit capacity, so BFS and
-//    propagation read one contiguous stream instead of chasing Circuit
-//    records through the topology.
+//    and carried switch sets are packed the same way so the dirty screening
+//    in mark_dirty_groups is word-AND + popcount work, not byte scans.
+//  * Flat arc records — the 8-byte CSR arc holds the neighbor and the
+//    directional load slot; the circuit id is slot >> 1, which indexes the
+//    liveness bit and the capacity, so BFS and propagation read one
+//    contiguous stream instead of chasing Circuit records through the
+//    topology.
+//  * Exact load-aware screening — a group's cached result depends only on
+//    its *carried* switches (those on some shortest-path DAG path from an
+//    active source), so a liveness flip whose farther endpoint is not
+//    carried, or a switch that comes up beside the carried DAG, leaves the
+//    group's loads bit-identical and is not a reason to recompute it
+//    (mark_dirty_groups states the rule and why it is exact).
 //  * Sparse group loads — a bound demand group caches its load contribution
 //    as (slot, value) pairs in propagation order (each slot is written at
 //    most once per group), so re-summing after a sparse invalidation costs
@@ -160,21 +167,22 @@ class EcmpRouter {
     std::vector<std::uint32_t> demand_indices;  // into the bound set
     std::vector<std::uint64_t> relevant_words;  // switch-id bitset
     bool valid = false;
-    std::vector<std::int32_t> dist;  // dense; kUnreached where not visited
-    std::vector<LoadEntry> entries;  // propagation order
+    /// Dense BFS distances at the last recompute, plus switches attached
+    /// since; kUnreached where not visited. Exact on carried switches;
+    /// elsewhere a lower bound once the group has been reused across
+    /// changes it does not carry.
+    std::vector<std::int32_t> dist;
+    std::vector<std::uint64_t> carried_words;  // switch-id bitset
+    std::vector<LoadEntry> entries;            // propagation order
   };
 
   /// Flat CSR arc record: everything BFS + propagation need, contiguous.
   /// For switch s, its arcs are arcs_[offsets_[s]..offsets_[s+1]).
   struct Arc {
     topo::SwitchId neighbor;
-    std::uint32_t fwd_slot;    // load slot for the s -> neighbor direction
-    std::uint32_t alive_word;  // index into alive_words_
-    std::uint32_t pad_ = 0;
-    std::uint64_t alive_mask;  // single-bit mask within alive_word
-    double capacity_tbps;      // split weight for kCapacityWeighted
+    std::uint32_t fwd_slot;  // load slot for s -> neighbor; circuit = slot >> 1
   };
-  static_assert(sizeof(topo::SwitchId) == 4, "Arc layout assumes 32-bit ids");
+  static_assert(sizeof(Arc) == 8, "Arc is two 32-bit fields");
 
   /// Per-thread BFS/propagation scratch. The epoch stamp makes dist/volume
   /// reads self-invalidating: an entry is live iff stamp[s] == epoch, so a
@@ -185,6 +193,7 @@ class EcmpRouter {
     std::uint32_t epoch = 0;
     std::vector<topo::SwitchId> visit_order;  // ascending distance
     std::vector<double> volume;               // per-switch pending volume
+    std::vector<std::uint8_t> carried;        // per-switch, valid if reached
     std::vector<std::uint32_t> next_hops;     // per-switch DAG arc scratch
     std::vector<const Demand*> group_ptrs;
 
@@ -201,14 +210,16 @@ class EcmpRouter {
   /// (0 if no active target).
   std::size_t bfs_from_targets(Scratch& s, const Demand& demand) const;
 
-  /// Injects every demand's volume at its active sources; returns false when
-  /// a demand has an active source the current BFS did not reach, reporting
-  /// the demand via `failed`.
+  /// Injects every demand's volume at its active sources and marks them
+  /// carried (zero-volume demands included); returns false when a demand
+  /// has an active source the current BFS did not reach, reporting the
+  /// demand via `failed`.
   bool inject_sources(Scratch& s, const std::vector<const Demand*>& demands,
                       const Demand** failed) const;
 
   /// Propagates scratch volume down the current shortest-path DAG, appending
-  /// (slot, value) entries to `out` (each slot at most once).
+  /// (slot, value) entries to `out` (each slot at most once), and marks
+  /// every switch downstream of a carried switch carried.
   void propagate(Scratch& s, std::vector<LoadEntry>& out) const;
 
   /// Groups demand indices by identical target sets, first-occurrence order.
@@ -229,10 +240,20 @@ class EcmpRouter {
   /// The incremental path for the bound set.
   bool assign_bound(LoadVector& loads, std::string* failed_demand);
 
-  /// Marks groups whose cached DAG or injection a journaled change could
-  /// affect. `changes` are topology journal entries since groups_version_.
+  /// Marks groups whose cached loads a journaled change could affect.
+  /// `changes` are topology journal entries since groups_version_.
   void mark_dirty_groups(const std::vector<topo::Topology::StateChange>& changes,
                          std::vector<std::uint8_t>& dirty);
+
+  /// Gives switch `x`, unreached in the group's snapshot and now joined to
+  /// it by an alive circuit, the snapshot distance one above its nearest
+  /// alive neighbor (see the rule in mark_dirty_groups). Returns false,
+  /// leaving the snapshot alone, when an alive neighbor is unreached too.
+  bool attach_switch(DemandGroup& g, topo::SwitchId x) const;
+  static bool carried(const DemandGroup& g, topo::SwitchId s) {
+    const auto si = static_cast<std::size_t>(s);
+    return (g.carried_words[si >> 6] >> (si & 63)) & 1;
+  }
 
   /// Re-sums total_loads_ from the per-group entry lists in group order
   /// (bit-identical to a dense sum), zeroing only previously-touched slots,
@@ -245,6 +266,14 @@ class EcmpRouter {
   /// pass otherwise.
   void refresh_alive();
 
+  bool arc_alive(const Arc& arc) const {
+    return circuit_alive(static_cast<topo::CircuitId>(arc.fwd_slot >> 1));
+  }
+  /// Split weight of an arc: one per hop for plain ECMP, capacity for WCMP.
+  double arc_weight(const Arc& arc) const {
+    return mode_ == SplitMode::kEqualSplit ? 1.0
+                                           : capacities_[arc.fwd_slot >> 1];
+  }
   bool circuit_alive(topo::CircuitId c) const {
     return (alive_words_[static_cast<std::size_t>(c) >> 6] >>
             (static_cast<std::size_t>(c) & 63)) &
@@ -272,6 +301,7 @@ class EcmpRouter {
 
   std::vector<std::uint32_t> offsets_;
   std::vector<Arc> arcs_;
+  std::vector<double> capacities_;  // per circuit, re-read on full refresh
 
   static constexpr std::int32_t kUnreached = -1;
   Scratch scratch_;  // the calling thread's scratch

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+
 #include "../test_helpers.h"
 #include "klotski/constraints/composite.h"
 #include "klotski/constraints/demand_checker.h"
 #include "klotski/constraints/port_checker.h"
 #include "klotski/constraints/space_power_checker.h"
+#include "klotski/pipeline/experiments.h"
+#include "klotski/util/rng.h"
 
 namespace klotski::constraints {
 namespace {
@@ -44,6 +50,91 @@ TEST(PortChecker, StagedCircuitsDoNotOccupyPorts) {
   d.topo.add_circuit(d.s, d.t, 1.0, topo::ElementState::kAbsent);
   PortChecker checker;
   EXPECT_TRUE(checker.check(d.topo).satisfied);
+}
+
+/// The port verdict by its definition: scan every present switch in id
+/// order and report the first one over budget.
+Verdict port_verdict_by_scan(const topo::Topology& topo) {
+  for (const topo::Switch& s : topo.switches()) {
+    if (!s.present()) continue;
+    const int occupied = topo.occupied_ports(s.id);
+    if (occupied > s.max_ports) {
+      return Verdict::fail("switch " + s.name + " needs " +
+                           std::to_string(occupied) + " ports but has " +
+                           std::to_string(s.max_ports));
+    }
+  }
+  return Verdict::ok();
+}
+
+TEST(PortChecker, NamesTheLowestIdViolator) {
+  Diamond d;
+  d.topo.sw(d.m1).max_ports = 1;
+  d.topo.sw(d.t).max_ports = 1;
+  PortChecker checker;
+  EXPECT_EQ(checker.check(d.topo).violation,
+            "switch m1 needs 2 ports but has 1");
+  d.topo.set_circuit_state(d.c_sm1, topo::ElementState::kAbsent);
+  EXPECT_EQ(checker.check(d.topo).violation, "switch t needs 2 ports but has 1");
+}
+
+TEST(PortChecker, IncrementalCountsMatchRescanAcrossJournalWrap) {
+  // One checker follows a random walk of element-state changes through the
+  // journal; the reference rescans the topology every time. A few switches
+  // get budgets just under their degree, so the verdict and the violator it
+  // names keep changing.
+  migration::MigrationCase mig = pipeline::build_experiment(
+      pipeline::ExperimentId::kB, topo::PresetScale::kReduced);
+  topo::Topology& topo = *mig.task.topo;
+  util::Rng rng(20261017);
+  for (const topo::Switch& s : topo.switches()) {
+    const auto degree = static_cast<std::int64_t>(topo.incident(s.id).size());
+    const std::int64_t slack = rng.uniform_int(0, 7) == 0
+                                   ? -rng.uniform_int(1, 2)
+                                   : 0;
+    topo.sw(s.id).max_ports =
+        static_cast<std::int32_t>(std::max<std::int64_t>(1, degree + slack));
+  }
+  topo.bump_state_version();
+
+  const topo::ElementState states[] = {topo::ElementState::kActive,
+                                       topo::ElementState::kDrained,
+                                       topo::ElementState::kAbsent};
+  // Every call journals exactly one change: the element moves to one of
+  // the two states it is not in.
+  auto random_change = [&] {
+    const auto pick = [&](topo::ElementState current) {
+      const auto i = static_cast<int>(current);
+      return states[(i + rng.uniform_int(1, 2)) % 3];
+    };
+    if (rng.uniform_int(0, 3) == 0) {
+      const auto s = static_cast<topo::SwitchId>(rng.uniform_int(
+          0, static_cast<std::int64_t>(topo.num_switches()) - 1));
+      topo.set_switch_state(s, pick(topo.sw(s).state));
+    } else {
+      const auto c = static_cast<topo::CircuitId>(rng.uniform_int(
+          0, static_cast<std::int64_t>(topo.num_circuits()) - 1));
+      topo.set_circuit_state(c, pick(topo.circuit(c).state));
+    }
+  };
+
+  PortChecker incremental;
+  std::set<std::string> verdicts;
+  for (int step = 0; step < 400; ++step) {
+    // Mostly a few changes per check; twice a burst longer than the
+    // journal (8192 entries), which forces the rescan fallback mid-walk.
+    const int changes = step == 150 || step == 300
+                            ? 9000
+                            : static_cast<int>(rng.uniform_int(1, 6));
+    for (int i = 0; i < changes; ++i) random_change();
+    const Verdict got = incremental.check(topo);
+    const Verdict want = port_verdict_by_scan(topo);
+    ASSERT_EQ(want.satisfied, got.satisfied) << "step " << step;
+    EXPECT_EQ(want.violation, got.violation) << "step " << step;
+    verdicts.insert(got.violation);
+  }
+  EXPECT_GE(verdicts.size(), 5u);
+  EXPECT_TRUE(verdicts.count(""));  // some states pass
 }
 
 // ---------------------------------------------------------------------------

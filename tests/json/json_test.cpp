@@ -133,6 +133,38 @@ TEST(JsonParse, MissingCommaRejected) {
 
 TEST(JsonParse, BareMinusRejected) { EXPECT_THROW(parse("-"), JsonError); }
 
+TEST(JsonParse, NestingUpToTheCapParses) {
+  const std::string arrays = std::string(kMaxParseDepth, '[') +
+                             std::string(kMaxParseDepth, ']');
+  EXPECT_TRUE(parse(arrays).is_array());
+  std::string objects;
+  for (int i = 0; i < kMaxParseDepth - 1; ++i) objects += "{\"k\":";
+  objects += "{}" + std::string(kMaxParseDepth - 1, '}');
+  EXPECT_TRUE(parse(objects).is_object());
+}
+
+TEST(JsonParse, NestingPastTheCapRejected) {
+  const std::string arrays = std::string(kMaxParseDepth + 1, '[') +
+                             std::string(kMaxParseDepth + 1, ']');
+  EXPECT_THROW(parse(arrays), JsonError);
+  std::string mixed;
+  for (int i = 0; i <= kMaxParseDepth; ++i) mixed += "{\"k\":[";
+  EXPECT_THROW(parse(mixed), JsonError);
+}
+
+TEST(JsonParse, MegabyteOfOpenBracketsIsAnErrorNotACrash) {
+  // Regression: the recursive parser had no depth cap, so this overflowed
+  // the stack of whichever thread parsed it.
+  try {
+    parse(std::string(1 << 20, '['));
+    FAIL() << "expected a parse error";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(JsonParse, ErrorMessagesIncludeLineAndColumn) {
   try {
     parse("{\n  \"a\": ???\n}");

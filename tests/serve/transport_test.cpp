@@ -318,6 +318,24 @@ TEST_F(TransportTest, OversizedCompleteLineIsAnsweredAndClosed) {
   EXPECT_GE(counter("serve.oversized_requests"), 1);
 }
 
+// Regression: a line of nested '[' under max_request_bytes used to
+// overflow the parser's stack and take the daemon down.
+TEST_F(TransportTest, DeeplyNestedRequestIsAnsweredWithAnError) {
+  start(base_options());
+  const int fd = raw_tcp_fd();
+  ASSERT_TRUE(send_all(fd, std::string(512 * 1024, '[') + "\n"));
+  std::string buffer, line;
+  ASSERT_TRUE(read_line(fd, buffer, line));
+  const Response resp = Response::parse(line);
+  EXPECT_EQ(resp.status, "error");
+  EXPECT_NE(resp.error.find("nesting"), std::string::npos) << resp.error;
+  ::close(fd);
+
+  // The daemon is still up and answering.
+  Client client(server_->tcp_endpoint());
+  EXPECT_TRUE(client.call("ping", json::Value(json::Object{})).ok());
+}
+
 TEST_F(TransportTest, PipelinedRequestsAnswerInOrder) {
   start(base_options());
   const int fd = raw_tcp_fd();
