@@ -25,6 +25,18 @@ struct GoldenCase {
   const char* file;   // golden file name under tests/golden/
 };
 
+// A static table has zeroed padding, so the parameter bytes gtest prints
+// into each test name are the same on every build.
+constexpr GoldenCase kGoldenCases[] = {
+    {topo::TopologyFamily::kClos, topo::PresetId::kA, "ClosA", "plan-a.json"},
+    {topo::TopologyFamily::kClos, topo::PresetId::kB, "ClosB", "plan-b.json"},
+    {topo::TopologyFamily::kClos, topo::PresetId::kC, "ClosC", "plan-c.json"},
+    {topo::TopologyFamily::kFlat, topo::PresetId::kA, "FlatA",
+     "plan-flat.json"},
+    {topo::TopologyFamily::kReconf, topo::PresetId::kA, "ReconfA",
+     "plan-reconf.json"},
+};
+
 class GoldenPlan : public ::testing::TestWithParam<GoldenCase> {};
 
 /// The exact document klotski_synth emits for
@@ -69,18 +81,7 @@ TEST_P(GoldenPlan, DefaultPipelineOutputIsByteExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    FamilyPresets, GoldenPlan,
-    ::testing::Values(
-        GoldenCase{topo::TopologyFamily::kClos, topo::PresetId::kA, "ClosA",
-                   "plan-a.json"},
-        GoldenCase{topo::TopologyFamily::kClos, topo::PresetId::kB, "ClosB",
-                   "plan-b.json"},
-        GoldenCase{topo::TopologyFamily::kClos, topo::PresetId::kC, "ClosC",
-                   "plan-c.json"},
-        GoldenCase{topo::TopologyFamily::kFlat, topo::PresetId::kA, "FlatA",
-                   "plan-flat.json"},
-        GoldenCase{topo::TopologyFamily::kReconf, topo::PresetId::kA,
-                   "ReconfA", "plan-reconf.json"}),
+    FamilyPresets, GoldenPlan, ::testing::ValuesIn(kGoldenCases),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return info.param.label;
     });
