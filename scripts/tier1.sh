@@ -125,7 +125,7 @@ wait "${WHATIF_SERVED_PID}" || {
 rm -rf "${WHATIF_TMP}" "${WHATIF_SOCK}"
 
 cmake -B build-tsan -S . -DKLOTSKI_SANITIZE=thread
-cmake --build build-tsan -j"${JOBS}" --target test_core test_obs test_traffic test_sim test_whatif test_serve
+cmake --build build-tsan -j"${JOBS}" --target test_core test_obs test_traffic test_constraints test_sim test_whatif test_serve
 # Run the binaries directly: only these targets are built in the TSan tree,
 # and ctest would trip over the undiscovered sibling test targets.
 # The level-ordered DP hands each worker a contiguous chunk of every level's
@@ -134,7 +134,11 @@ cmake --build build-tsan -j"${JOBS}" --target test_core test_obs test_traffic te
   --gtest_filter='ParallelEvaluator.*:PresetsAToC/ParallelPlannerDeterminism.*:AllFamilies/ParallelPlannerDeterminism.*:LevelDp.*'
 ./build-tsan/tests/test_obs
 # Intra-check router parallelism: the EcmpRouter worker pool under TSan.
-./build-tsan/tests/test_traffic --gtest_filter='EcmpParallel*'
+# Each job diffs its group into its own buffer and the calling thread
+# applies the diffs to the exact totals; the incremental demand verdict
+# walks run with two router workers.
+./build-tsan/tests/test_traffic --gtest_filter='EcmpParallel*:FixedLoad.*'
+./build-tsan/tests/test_constraints --gtest_filter='DemandIncremental.*'
 # Chaos sweep worker pool: per-seed isolation means the only shared state
 # is the verdict vector and the obs counters — TSan checks that claim.
 KLOTSKI_CHAOS_SEEDS=10 ./build-tsan/tests/test_sim \
@@ -149,19 +153,26 @@ KLOTSKI_CHAOS_SEEDS=10 ./build-tsan/tests/test_sim \
 # disconnect-cancel path all exercise cross-thread handoffs.
 ./build-tsan/tests/test_serve
 
-# AddressSanitizer over the randomized ECMP equivalence suite: the flat-path
-# engine's epoch stamping / sparse slot bookkeeping is exactly the kind of
-# code where a stale-index bug reads garbage instead of crashing. The
-# block-walk and hand-built screen cases (EcmpEquivalence.*) also index the
-# per-group carried bitsets and patch distance snapshots in place.
-cmake -B build-asan -S . -DKLOTSKI_SANITIZE=address
+# AddressSanitizer plus UndefinedBehaviorSanitizer (-fno-sanitize-recover:
+# the first finding fails the run) over the randomized ECMP equivalence
+# suite: the flat-path engine's epoch stamping / sparse slot bookkeeping is
+# exactly the kind of code where a stale-index bug reads garbage instead of
+# crashing. The block-walk and hand-built screen cases (EcmpEquivalence.*)
+# also index the per-group carried bitsets, patch distance snapshots in
+# place and diff every recomputed group against its previous entries; the
+# fixed-point suite (FixedLoad.*) drives the 128-bit shifts and
+# conversions, where an out-of-range shift is undefined.
+cmake -B build-asan -S . -DKLOTSKI_SANITIZE=address,undefined
 cmake --build build-asan -j"${JOBS}" --target test_traffic test_sim test_core test_util test_migration test_whatif test_constraints
 ./build-asan/tests/test_traffic \
-  --gtest_filter='EcmpEquivalence.*:EcmpParallel*'
+  --gtest_filter='EcmpEquivalence.*:EcmpParallel*:FixedLoad.*'
 # Journal-driven port counts under ASan: per-switch counters and the
 # violator bitset are updated in place from journal entries, across a
-# journal wrap that forces the rescan fallback.
-./build-asan/tests/test_constraints --gtest_filter='PortChecker.*'
+# journal wrap that forces the rescan fallback. The incremental demand
+# verdict indexes per-circuit utilizations and block maxima by the
+# router's changed-circuit list.
+./build-asan/tests/test_constraints \
+  --gtest_filter='PortChecker.*:DemandChecker.*:DemandIncremental.*'
 # Chaos engine under ASan: fault scripts mutate live capacities, tear
 # blocks mid-apply, and resume from checkpoints — prime territory for
 # stale-pointer and overrun bugs that a plain run reads right through.

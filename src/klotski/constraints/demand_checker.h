@@ -12,10 +12,18 @@
 // so repeated checks reuse per-target-set routing caches, and memoizes its
 // last verdict keyed on the topology's state version: re-checking an
 // unchanged topology is O(1). The memo is dropped whenever theta or the
-// demand set changes. The utilization scan walks the router's ascending
-// touched-circuit list when it is valid (only circuits actually carrying
-// bound load), falling back to every circuit otherwise — verdicts are
-// identical either way, including which violation is reported first.
+// demand set changes.
+//
+// The verdict is incremental too. The checker keeps every circuit's
+// utilization, and the max of each block of 64 circuits, synced to the
+// router's exact totals: after a bound assignment it re-reads only the
+// circuits the router reports changed (rescanning a block only when its
+// max went down), then finds the lowest-id circuit over theta in the first
+// block over theta. The state holds utilizations, not verdicts, so a theta
+// change needs no rescan. A router rebuild (first check, failure, rebind)
+// rebuilds it from the loaded circuits; an unbound router, or a funneling
+// margin, falls back to the plain scan. Verdicts, messages and
+// last_max_utilization are identical on every path.
 #pragma once
 
 #include <cstdint>
@@ -64,17 +72,35 @@ class DemandChecker : public Checker {
 
  private:
   Verdict evaluate(const topo::Topology& topo);
+  /// The plain scan in ascending circuit order: `circuits` (all of them
+  /// when null), `load(c)` giving the larger of c's directional loads.
+  template <typename LoadFn>
+  Verdict scan(const topo::Topology& topo,
+               const std::vector<topo::CircuitId>* circuits, LoadFn load);
+  /// Brings util_ and block_max_ up to the router's current totals;
+  /// returns false when that took a rebuild rather than an update.
+  bool sync_utils(const topo::Topology& topo);
+  void rescan_block(std::size_t b);
+  Verdict over_theta(const topo::Topology& topo, const topo::Circuit& c,
+                     double util) const;
 
   traffic::EcmpRouter& router_;
   traffic::DemandSet demands_;
   DemandCheckerParams params_;
-  traffic::LoadVector loads_;           // scratch
-  /// Circuits holding load in loads_ after the last successful bound
-  /// assignment (the next check zeroes only these); invalid otherwise.
-  std::vector<topo::CircuitId> loads_dirty_;
-  bool loads_dirty_valid_ = false;
+  traffic::LoadVector loads_;           // unbound-router scratch only
   std::vector<std::uint8_t> funneled_;  // scratch (per-switch)
   double last_max_utilization_ = 0.0;
+
+  /// Per-circuit utilization (-inf for an unloaded circuit) and the max of
+  /// each block of kBlockSize consecutive circuits. Valid at router
+  /// generation synced_generation_ when synced_.
+  static constexpr std::size_t kBlockShift = 6;
+  static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
+  std::vector<double> util_;
+  std::vector<double> block_max_;
+  std::vector<std::uint32_t> stale_blocks_;  // sync scratch
+  bool synced_ = false;
+  std::uint64_t synced_generation_ = 0;
 
   // Last verdict, keyed on (topology identity, state version). Sound by the
   // purity contract in checker.h.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 #include <unordered_map>
 
 namespace klotski::traffic {
@@ -14,6 +15,28 @@ using topo::Topology;
 namespace {
 
 constexpr std::size_t word_count(std::size_t bits) { return (bits + 63) / 64; }
+
+void set_bit(std::vector<std::uint64_t>& words, std::size_t i, bool on) {
+  const std::uint64_t mask = std::uint64_t{1} << (i & 63);
+  if (on) {
+    words[i >> 6] |= mask;
+  } else {
+    words[i >> 6] &= ~mask;
+  }
+}
+
+/// Throws std::invalid_argument when the demands' total positive volume is
+/// not finite or exceeds kMaxTotalVolumeTbps, the bound that keeps every
+/// slot's FixedLoad total in range.
+void check_volume_range(const DemandSet& demands) {
+  double total = 0.0;
+  for (const Demand& d : demands) total += std::max(d.volume_tbps, 0.0);
+  if (!(total <= kMaxTotalVolumeTbps)) {
+    throw std::invalid_argument(
+        "demand set volume " + std::to_string(total) +
+        " Tbps is outside the exact load range (at most 2^27 Tbps)");
+  }
+}
 
 }  // namespace
 
@@ -34,7 +57,11 @@ EcmpRouter::EcmpRouter(const topo::Topology& topo, SplitMode mode)
           obs::Registry::global().counter("router.parallel_batches")),
       m_parallel_jobs_(obs::Registry::global().counter("router.parallel_jobs")),
       m_dirty_screen_circuits_(
-          obs::Registry::global().counter("router.dirty_screen_circuits")) {
+          obs::Registry::global().counter("router.dirty_screen_circuits")),
+      m_diff_changed_slots_(
+          obs::Registry::global().counter("router.diff_changed_slots")),
+      m_diff_unchanged_entries_(
+          obs::Registry::global().counter("router.diff_unchanged_entries")) {
   offsets_.assign(num_switches_ + 1, 0);
   for (const topo::Circuit& c : topo.circuits()) {
     ++offsets_[static_cast<std::size_t>(c.a) + 1];
@@ -70,6 +97,8 @@ void EcmpRouter::Scratch::init(std::size_t num_switches) {
   visit_order.reserve(num_switches);
   volume.assign(num_switches, 0.0);
   carried.assign(num_switches, 0);
+  emitters.reserve(num_switches);
+  dag_begin.reserve(num_switches + 1);
 }
 
 void EcmpRouter::Scratch::begin_bfs() {
@@ -146,9 +175,16 @@ std::size_t EcmpRouter::bfs_from_targets(Scratch& s,
 
   // Standard BFS; visit_order doubles as the queue (ascending distance).
   // Stamping replaces the O(|S|) dist/volume clears of a naive BFS.
+  // When u (distance d) is dequeued, every switch at d - 1 is already
+  // stamped, so u's alive arcs to stamped neighbors at d - 1 are exactly
+  // its shortest-path next hops; they are recorded here, in CSR arc order,
+  // so propagation walks the DAG instead of rescanning every arc.
+  s.dag_arcs.clear();
+  s.dag_begin.clear();
   for (std::size_t head = 0; head < s.visit_order.size(); ++head) {
     const SwitchId u = s.visit_order[head];
     const std::int32_t du = s.dist[static_cast<std::size_t>(u)];
+    s.dag_begin.push_back(static_cast<std::uint32_t>(s.dag_arcs.size()));
     const std::uint32_t end = offsets_[static_cast<std::size_t>(u) + 1];
     for (std::uint32_t i = offsets_[static_cast<std::size_t>(u)]; i < end;
          ++i) {
@@ -161,9 +197,12 @@ std::size_t EcmpRouter::bfs_from_targets(Scratch& s,
         s.volume[ni] = 0.0;
         s.carried[ni] = 0;
         s.visit_order.push_back(arc.neighbor);
+      } else if (s.dist[ni] == du - 1) {
+        s.dag_arcs.push_back(i);
       }
     }
   }
+  s.dag_begin.push_back(static_cast<std::uint32_t>(s.dag_arcs.size()));
   return s.visit_order.size();
 }
 
@@ -206,13 +245,14 @@ bool EcmpRouter::inject_sources(Scratch& s,
   return true;
 }
 
-void EcmpRouter::propagate(Scratch& s, std::vector<LoadEntry>& out) const {
+template <typename EmitRun>
+void EcmpRouter::propagate(Scratch& s, EmitRun&& emit) const {
   // Propagate along the DAG in decreasing distance: visit_order is in
   // ascending distance, so walk it backwards. A switch's volume splits over
   // circuits toward neighbors one step closer to a target. A directional
-  // slot is appended at most once: the arc u -> n is a DAG edge only when
+  // slot is emitted at most once: the arc u -> n is a DAG edge only when
   // dist[n] == dist[u] - 1, which the reverse direction cannot satisfy, and
-  // each directed arc is scanned exactly once. Every switch holding volume
+  // BFS records each directed arc at most once. Every switch holding volume
   // is carried (volume only enters at carried sources and flows to next
   // hops, which become carried), so the carried walk covers the volume walk.
   for (std::size_t idx = s.visit_order.size(); idx-- > 0;) {
@@ -221,20 +261,13 @@ void EcmpRouter::propagate(Scratch& s, std::vector<LoadEntry>& out) const {
     const std::int32_t du = s.dist[static_cast<std::size_t>(u)];
     if (du == 0) continue;  // absorbed at a target
 
-    // Single scan: collect the equal-cost next hops and their total split
-    // weight (hop count for plain ECMP, summed capacity for weighted ECMP).
-    // An alive arc from a reached switch always has a reached neighbor (BFS
-    // relaxed it under the same liveness words), so dist reads are valid.
-    s.next_hops.clear();
+    // The equal-cost next hops BFS recorded, and their total split weight
+    // (hop count for plain ECMP, summed capacity for weighted ECMP).
+    const std::uint32_t* hops = s.dag_arcs.data() + s.dag_begin[idx];
+    const std::uint32_t num_hops = s.dag_begin[idx + 1] - s.dag_begin[idx];
     double total_weight = 0.0;
-    const std::uint32_t end = offsets_[static_cast<std::size_t>(u) + 1];
-    for (std::uint32_t i = offsets_[static_cast<std::size_t>(u)]; i < end;
-         ++i) {
-      const Arc& arc = arcs_[i];
-      if (!arc_alive(arc)) continue;
-      assert(s.reached(arc.neighbor));
-      if (s.dist[static_cast<std::size_t>(arc.neighbor)] != du - 1) continue;
-      s.next_hops.push_back(i);
+    for (std::uint32_t h = 0; h < num_hops; ++h) {
+      const Arc& arc = arcs_[hops[h]];
       s.carried[static_cast<std::size_t>(arc.neighbor)] = 1;
       total_weight += arc_weight(arc);
     }
@@ -242,16 +275,62 @@ void EcmpRouter::propagate(Scratch& s, std::vector<LoadEntry>& out) const {
 
     const double vol = s.volume[static_cast<std::size_t>(u)];
     if (vol <= 0.0) continue;  // carried by a zero-volume demand only
-    for (const std::uint32_t i : s.next_hops) {
+    s.run.clear();
+    for (std::uint32_t h = 0; h < num_hops; ++h) {
+      const std::uint32_t i = hops[h];
       const Arc& arc = arcs_[i];
       const double share = vol * arc_weight(arc) / total_weight;
-      out.push_back(LoadEntry{arc.fwd_slot, share});
+      s.run.push_back(LoadEntry{arc.fwd_slot, i, share});
       s.volume[static_cast<std::size_t>(arc.neighbor)] += share;
     }
+    emit(u, s.run);
   }
 }
 
+long long EcmpRouter::diff_run(const LoadEntry* old_run, std::uint32_t old_len,
+                               const LoadEntry* new_run, std::uint32_t new_len,
+                               ChangeSink& sink) {
+  // Both runs are one switch's entries in CSR arc order, so they merge like
+  // two sorted lists keyed by arc. Usually the next hops and shares are
+  // unchanged, so the common prefix is skipped first.
+  long long unchanged = 0;
+  std::uint32_t i = 0;
+  std::uint32_t j = 0;
+  while (i < old_len && j < new_len && old_run[i].arc == new_run[j].arc &&
+         old_run[i].value == new_run[j].value) {
+    ++i;
+    ++j;
+    ++unchanged;
+  }
+  while (i < old_len && j < new_len) {
+    const LoadEntry& o = old_run[i];
+    const LoadEntry& n = new_run[j];
+    if (o.arc == n.arc) {
+      if (o.value != n.value) {
+        sink.add(n.slot, o.value, n.value);
+      } else {
+        ++unchanged;
+      }
+      ++i;
+      ++j;
+    } else if (o.arc < n.arc) {
+      sink.add(o.slot, o.value, 0.0);
+      ++i;
+    } else {
+      sink.add(n.slot, 0.0, n.value);
+      ++j;
+    }
+  }
+  for (; i < old_len; ++i) sink.add(old_run[i].slot, old_run[i].value, 0.0);
+  for (; j < new_len; ++j) sink.add(new_run[j].slot, 0.0, new_run[j].value);
+  return unchanged;
+}
+
 bool EcmpRouter::assign(const Demand& demand, LoadVector& loads) {
+  if (!(std::max(demand.volume_tbps, 0.0) <= kMaxTotalVolumeTbps)) {
+    throw std::invalid_argument("demand " + demand.name +
+                                " volume is outside the exact load range");
+  }
   loads.resize(topo_.num_circuits() * 2, 0.0);
   touched_valid_ = false;
 
@@ -260,9 +339,12 @@ bool EcmpRouter::assign(const Demand& demand, LoadVector& loads) {
 
   const std::vector<const Demand*> group = {&demand};
   if (!inject_sources(scratch_, group, nullptr)) return false;
-  entries_scratch_.clear();
-  propagate(scratch_, entries_scratch_);
-  for (const LoadEntry& e : entries_scratch_) loads[e.slot] += e.value;
+  // One demand writes each slot once, so each slot's total is one entry.
+  propagate(scratch_, [&](SwitchId, const std::vector<LoadEntry>& run) {
+    for (const LoadEntry& e : run) {
+      loads[e.slot] += fixed_to_tbps(tbps_to_fixed(e.value));
+    }
+  });
   return true;
 }
 
@@ -304,10 +386,9 @@ std::vector<std::vector<std::uint32_t>> EcmpRouter::group_by_targets(
   return groups;
 }
 
-bool EcmpRouter::run_group(Scratch& s, const DemandSet& demands,
-                           const std::vector<std::uint32_t>& indices,
-                           std::vector<LoadEntry>& out,
-                           std::string* failed_demand) const {
+bool EcmpRouter::route_group(Scratch& s, const DemandSet& demands,
+                             const std::vector<std::uint32_t>& indices,
+                             std::string* failed_demand) const {
   // All demands of a group share one target set, hence one BFS. ECMP load
   // is linear in injected volume over a fixed shortest-path DAG, so one
   // merged propagation equals the sum of per-demand assignments.
@@ -323,17 +404,74 @@ bool EcmpRouter::run_group(Scratch& s, const DemandSet& demands,
     if (failed_demand != nullptr) *failed_demand = failed->name;
     return false;
   }
-  propagate(s, out);
   return true;
 }
 
-bool EcmpRouter::recompute_group(Scratch& s, DemandGroup& g,
+bool EcmpRouter::recompute_group(Scratch& s, DemandGroup& g, ChangeSink* sink,
                                  std::string* failed_demand) const {
   m_group_recomputes_.inc();  // physical count (includes parallel overshoot)
   g.valid = false;
-  g.entries.clear();
-  if (!run_group(s, *bound_, g.demand_indices, g.entries, failed_demand)) {
-    return false;
+  if (!route_group(s, *bound_, g.demand_indices, failed_demand)) return false;
+  if (g.run_of.size() != num_switches_ || sink == nullptr) {
+    // No diff: start the entry store afresh.
+    if (g.run_of.size() != num_switches_) {
+      g.run_of.assign(num_switches_, Run{});
+    } else {
+      for (const SwitchId x : g.emitters) {
+        g.run_of[static_cast<std::size_t>(x)] = Run{};
+      }
+    }
+    g.entries.clear();
+    g.emitters.clear();
+    g.live = 0;
+  }
+  s.emitters.clear();
+  long long unchanged = 0;
+  propagate(s, [&](SwitchId u, const std::vector<LoadEntry>& run) {
+    Run& r = g.run_of[static_cast<std::size_t>(u)];
+    const auto len = static_cast<std::uint32_t>(run.size());
+    if (sink != nullptr) {
+      const LoadEntry* old_run =
+          r.len != 0 ? g.entries.data() + r.begin : nullptr;
+      unchanged += diff_run(old_run, r.len, run.data(), len, *sink);
+    }
+    // Overwrite the old run when the new one fits. Otherwise the old run
+    // becomes dead space and the new one is appended, after packing the
+    // store in place if it is full, so the store grows only when the live
+    // entries outgrow it.
+    if (len <= r.len) {
+      std::copy(run.begin(), run.end(),
+                g.entries.begin() + static_cast<std::ptrdiff_t>(r.begin));
+      g.live -= r.len - len;
+    } else {
+      g.live -= r.len;
+      r.len = 0;
+      if (g.entries.size() + len > g.entries.capacity()) pack_entries(s, g);
+      r.begin = static_cast<std::uint32_t>(g.entries.size());
+      g.entries.insert(g.entries.end(), run.begin(), run.end());
+      g.live += len;
+    }
+    r.len = len;
+    r.fresh = 1;
+    s.emitters.push_back(u);
+  });
+  // Switches that emitted before but not now lost all their entries.
+  for (const SwitchId x : g.emitters) {
+    Run& r = g.run_of[static_cast<std::size_t>(x)];
+    if (r.fresh) continue;
+    if (sink != nullptr) {
+      diff_run(g.entries.data() + r.begin, r.len, nullptr, 0, *sink);
+    }
+    g.live -= r.len;
+    r = Run{};
+  }
+  for (const SwitchId x : s.emitters) {
+    g.run_of[static_cast<std::size_t>(x)].fresh = 0;
+  }
+  g.emitters.assign(s.emitters.begin(), s.emitters.end());
+  if (sink != nullptr) {
+    m_diff_changed_slots_.inc(sink->changed);
+    m_diff_unchanged_entries_.inc(unchanged);
   }
   // Materialize dense distance and carried snapshots for the dirty
   // screening (it reads arbitrary endpoints, so sparse stamped storage would
@@ -355,7 +493,42 @@ bool EcmpRouter::recompute_group(Scratch& s, DemandGroup& g,
   return true;
 }
 
+void EcmpRouter::pack_entries(Scratch& s, DemandGroup& g) const {
+  // Live runs mid-propagate: the fresh ones written by this recompute
+  // (s.emitters) and the previous recompute's runs not yet replaced (their
+  // switch has not been reached yet, or drops out and still needs its
+  // removal diff).
+  s.pack.clear();
+  for (const SwitchId x : s.emitters) {
+    s.pack.emplace_back(g.run_of[static_cast<std::size_t>(x)].begin, x);
+  }
+  for (const SwitchId x : g.emitters) {
+    const Run& r = g.run_of[static_cast<std::size_t>(x)];
+    if (!r.fresh && r.len != 0) s.pack.emplace_back(r.begin, x);
+  }
+  // Sliding runs down in ascending start order never overwrites a run that
+  // is still to be moved.
+  std::sort(s.pack.begin(), s.pack.end());
+  std::uint32_t cursor = 0;
+  for (const auto& [begin, x] : s.pack) {
+    Run& r = g.run_of[static_cast<std::size_t>(x)];
+    if (begin != cursor) {
+      const auto first = g.entries.begin() + static_cast<std::ptrdiff_t>(begin);
+      std::copy(first, first + r.len,
+                g.entries.begin() + static_cast<std::ptrdiff_t>(cursor));
+    }
+    r.begin = cursor;
+    cursor += r.len;
+  }
+  g.entries.resize(cursor);
+}
+
 void EcmpRouter::bind_demands(const DemandSet& demands) {
+  // A refused set leaves no binding behind: the caller may already have
+  // replaced the previous set in place, at the same address.
+  bound_ = nullptr;
+  bound_size_ = 0;
+  check_volume_range(demands);
   bound_ = &demands;
   bound_size_ = demands.size();
   groups_.clear();
@@ -531,188 +704,198 @@ bool EcmpRouter::attach_switch(DemandGroup& g, SwitchId x) const {
   return true;
 }
 
-void EcmpRouter::rebuild_total(std::size_t load_size) {
-  if (total_loads_.size() != load_size) {
-    total_loads_.assign(load_size, 0.0);
-    total_touched_slots_.clear();
+void EcmpRouter::apply_change(std::uint32_t slot, double before, double after) {
+  // Modular arithmetic: `before` is part of the exact total, so the result
+  // is the exact new total whatever order the changes arrive in.
+  FixedLoad& total = totals_[slot];
+  total = total - tbps_to_fixed(before) + tbps_to_fixed(after);
+  set_bit(nonzero_words_, slot, total != 0);
+  const std::uint32_t c = slot >> 1;
+  changed_words_[c >> 6] |= std::uint64_t{1} << (c & 63);
+}
+
+void EcmpRouter::ChangeSink::add(std::uint32_t slot, double before,
+                                 double after) {
+  ++changed;
+  if (router != nullptr) {
+    router->apply_change(slot, before, after);
   } else {
-    // Zero only the slots the previous total touched.
-    for (const std::uint32_t slot : total_touched_slots_) {
-      total_loads_[slot] = 0.0;
-    }
+    buffer->push_back(LoadChange{slot, before, after});
   }
-  if (slot_stamp_.size() < load_size) slot_stamp_.resize(load_size, 0);
-  if (++slot_epoch_ == 0) {
-    std::fill(slot_stamp_.begin(), slot_stamp_.end(), 0);
-    slot_epoch_ = 1;
-  }
-  total_touched_slots_.clear();
+}
 
-  // Accumulate the sparse group contributions in group order: within one
-  // group each slot appears at most once, so the per-slot addition sequence
-  // is exactly the dense per-group sum's — bit-identical result.
+void EcmpRouter::rebuild_totals(std::size_t load_size) {
+  if (totals_.size() != load_size) {
+    totals_.assign(load_size, 0);
+    nonzero_words_.assign(word_count(load_size), 0);
+  } else {
+    for_each_bit(nonzero_words_, [&](std::size_t slot) { totals_[slot] = 0; });
+    std::fill(nonzero_words_.begin(), nonzero_words_.end(), 0);
+  }
+  // Entries are non-negative, so a total is non-zero iff one of its
+  // entries is.
+  // A rebuild recomputed every group without diffing, which leaves each
+  // store packed: its entries are exactly its live runs.
   for (const DemandGroup& g : groups_) {
+    assert(g.entries.size() == g.live);
     for (const LoadEntry& e : g.entries) {
-      total_loads_[e.slot] += e.value;
-      if (slot_stamp_[e.slot] != slot_epoch_) {
-        slot_stamp_[e.slot] = slot_epoch_;
-        total_touched_slots_.push_back(e.slot);
-      }
-    }
-  }
-
-  // Touched circuits, ascending, for the utilization fast path. Shares are
-  // strictly positive, so every touched slot's total is non-zero. Marking
-  // bits and then scanning the word array gives ascending order for a
-  // popcount pass over C/64 words — no comparison sort.
-  const std::size_t circuit_words = word_count(topo_.num_circuits());
-  if (touched_circuit_words_.size() < circuit_words) {
-    touched_circuit_words_.resize(circuit_words, 0);
-  }
-  for (const std::uint32_t slot : total_touched_slots_) {
-    const std::uint32_t c = slot >> 1;
-    touched_circuit_words_[c >> 6] |= std::uint64_t{1} << (c & 63);
-  }
-  touched_circuits_.clear();
-  for (std::size_t w = 0; w < circuit_words; ++w) {
-    std::uint64_t bits = touched_circuit_words_[w];
-    if (bits == 0) continue;
-    touched_circuit_words_[w] = 0;
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      touched_circuits_.push_back(
-          static_cast<CircuitId>((w << 6) + static_cast<std::size_t>(bit)));
+      const FixedLoad f = tbps_to_fixed(e.value);
+      if (f == 0) continue;
+      totals_[e.slot] += f;
+      set_bit(nonzero_words_, e.slot, true);
     }
   }
 }
 
-bool EcmpRouter::assign_bound(LoadVector& loads, std::string* failed_demand) {
+bool EcmpRouter::assign_bound(std::string* failed_demand) {
+  assert(bound_ != nullptr && "assign_bound needs a bound demand set");
   refresh_alive();
   const std::uint64_t v = topo_.state_version();
+  touched_valid_ = false;
 
-  dirty_scratch_.assign(groups_.size(), 0);
-  bool any_dirty = false;
-  if (!groups_ready_) {
-    std::fill(dirty_scratch_.begin(), dirty_scratch_.end(), 1);
-    any_dirty = !groups_.empty();
-  } else if (v != groups_version_) {
+  // Rebuild the totals from scratch on the first call, after a failure,
+  // rebind or split-mode change (all leave groups_ready_ false), and when
+  // the journal no longer covers the gap (which also covers out-of-band
+  // capacity edits). Every group recomputes in each of those cases.
+  bool rebuild = !groups_ready_;
+  dirty_scratch_.assign(groups_.size(), rebuild ? 1 : 0);
+  if (!rebuild && v != groups_version_) {
     changes_scratch_.clear();
     if (topo_.changes_since(groups_version_, changes_scratch_)) {
       mark_dirty_groups(changes_scratch_, dirty_scratch_);
     } else {
-      // Journal no longer covers the gap (or structural change): rebuild.
+      rebuild = true;
       std::fill(dirty_scratch_.begin(), dirty_scratch_.end(), 1);
     }
     long long invalidated = 0;
-    for (const std::uint8_t d : dirty_scratch_) {
-      any_dirty |= d != 0;
-      invalidated += d != 0 ? 1 : 0;
-    }
+    for (const std::uint8_t d : dirty_scratch_) invalidated += d != 0 ? 1 : 0;
     m_group_invalidations_.inc(invalidated);
   }
   // groups_ready_ && v == groups_version_: every cache is current.
 
-  if (any_dirty) {
-    job_groups_.clear();
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-      if (dirty_scratch_[gi]) {
-        job_groups_.push_back(static_cast<std::uint32_t>(gi));
-      }
-    }
-    if (threads_.empty() || job_groups_.size() < 2) {
-      // Serial path: recompute in group order, stopping at the first
-      // failure. These loops define the logical counter semantics the
-      // parallel path reproduces.
-      for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-        if (!dirty_scratch_[gi]) {
-          ++group_reuses_;
-          m_group_reuses_.inc();
-          continue;
-        }
-        ++group_recomputes_;
-        if (!recompute_group(scratch_, groups_[gi], failed_demand)) {
-          groups_ready_ = false;
-          touched_valid_ = false;
-          return false;
-        }
-      }
-    } else {
-      // Parallel path: physically recompute every dirty group on the pool,
-      // then replay the serial loop's accounting in group order on this
-      // thread — loads, failure identity, and the logical counters come out
-      // bit-identical to the serial path.
-      njobs_ = job_groups_.size();
-      job_ok_.assign(njobs_, 0);
-      job_fail_.assign(njobs_, std::string());
-      m_parallel_batches_.inc();
-      m_parallel_jobs_.inc(static_cast<long long>(njobs_));
-      run_jobs_parallel();
-      std::size_t job = 0;
-      for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-        if (!dirty_scratch_[gi]) {
-          ++group_reuses_;
-          m_group_reuses_.inc();
-          continue;
-        }
-        ++group_recomputes_;
-        const std::size_t j = job++;
-        if (!job_ok_[j]) {
-          if (failed_demand != nullptr) *failed_demand = job_fail_[j];
-          groups_ready_ = false;
-          touched_valid_ = false;
-          return false;
-        }
-      }
-    }
-    rebuild_total(loads.size());
-    groups_ready_ = true;
-    groups_version_ = v;
-  } else if (!groups_ready_) {
-    // Empty bound set: nothing to compute, caches are trivially current.
-    total_loads_.assign(loads.size(), 0.0);
-    total_touched_slots_.clear();
-    touched_circuits_.clear();
-    groups_ready_ = true;
-    groups_version_ = v;
-  } else {
-    group_reuses_ += static_cast<long long>(groups_.size());
-    m_group_reuses_.inc(static_cast<long long>(groups_.size()));
-    // The screening proved the caches valid at v; advance so the next call
-    // does not replay the same journal suffix again.
-    groups_version_ = v;
-  }
+  const std::size_t circuit_words = word_count(topo_.num_circuits());
+  changed_words_.assign(circuit_words, 0);
 
-  // Sparse scatter over the touched slots only. Untouched slots hold +0.0 in
-  // the dense total, and x += +0.0 is an exact no-op for the non-negative
-  // loads we produce, so this equals the dense add.
-  for (const std::uint32_t slot : total_touched_slots_) {
-    loads[slot] += total_loads_[slot];
+  const auto fail = [&]() {
+    groups_ready_ = false;  // the next call rebuilds
+    return false;
+  };
+  job_groups_.clear();
+  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
+    if (dirty_scratch_[gi]) job_groups_.push_back(static_cast<std::uint32_t>(gi));
   }
+  if (threads_.empty() || job_groups_.size() < 2) {
+    // Serial path: recompute in group order, stopping at the first
+    // failure. These loops define the logical counter semantics the
+    // parallel path reproduces.
+    for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
+      if (!dirty_scratch_[gi]) {
+        ++group_reuses_;
+        m_group_reuses_.inc();
+        continue;
+      }
+      ++group_recomputes_;
+      ChangeSink sink{this, nullptr};  // straight into the totals
+      if (!recompute_group(scratch_, groups_[gi], rebuild ? nullptr : &sink,
+                           failed_demand)) {
+        return fail();
+      }
+    }
+  } else {
+    // Parallel path: physically recompute every dirty group on the pool,
+    // each job diffing into its own buffer, then replay the serial loop's
+    // accounting in group order on this thread — totals, failure identity,
+    // and the logical counters come out bit-identical to the serial path.
+    njobs_ = job_groups_.size();
+    job_ok_.assign(njobs_, 0);
+    job_fail_.assign(njobs_, std::string());
+    if (job_diff_.size() < njobs_) job_diff_.resize(njobs_);
+    jobs_diff_ = !rebuild;
+    m_parallel_batches_.inc();
+    m_parallel_jobs_.inc(static_cast<long long>(njobs_));
+    run_jobs_parallel();
+    std::size_t job = 0;
+    for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
+      if (!dirty_scratch_[gi]) {
+        ++group_reuses_;
+        m_group_reuses_.inc();
+        continue;
+      }
+      ++group_recomputes_;
+      const std::size_t j = job++;
+      if (!job_ok_[j]) {
+        if (failed_demand != nullptr) *failed_demand = job_fail_[j];
+        return fail();
+      }
+      if (!rebuild) {
+        for (const LoadChange& ch : job_diff_[j]) {
+          apply_change(ch.slot, ch.before, ch.after);
+        }
+      }
+    }
+  }
+  if (rebuild) rebuild_totals(topo_.num_circuits() * 2);
+  groups_ready_ = true;
+  // The screening proved the reused caches valid at v; advance so the next
+  // call does not replay the same journal suffix again.
+  groups_version_ = v;
+  totals_rebuilt_ = rebuild;
+  ++totals_generation_;
   touched_valid_ = true;
   return true;
 }
 
+const std::vector<CircuitId>& EcmpRouter::touched_circuits() const {
+  if (touched_generation_ != totals_generation_) {
+    touched_circuits_.clear();
+    for_each_loaded_circuit(
+        [&](CircuitId c) { touched_circuits_.push_back(c); });
+    touched_generation_ = totals_generation_;
+  }
+  return touched_circuits_;
+}
+
 bool EcmpRouter::assign_all(const DemandSet& demands, LoadVector& loads,
                             std::string* failed_demand) {
-  loads.resize(topo_.num_circuits() * 2, 0.0);
-  if (bound_ == &demands && demands.size() == bound_size_) {
-    return assign_bound(loads, failed_demand);
+  const std::size_t load_size = topo_.num_circuits() * 2;
+  loads.resize(load_size, 0.0);
+  if (bound_to(demands)) {
+    if (!assign_bound(failed_demand)) return false;
+    for_each_bit(nonzero_words_, [&](std::size_t slot) {
+      loads[slot] += fixed_to_tbps(totals_[slot]);
+    });
+    return true;
   }
 
   // Unbound one-shot path: group by target set (hash map, first-occurrence
-  // order) and evaluate each group once, without caching.
+  // order) and evaluate each group once, without caching, summing into the
+  // same exact totals the bound path keeps.
+  check_volume_range(demands);
   touched_valid_ = false;
   refresh_alive();
+  if (unbound_totals_.size() != load_size) unbound_totals_.assign(load_size, 0);
+  bool ok = true;
   for (const auto& indices : group_by_targets(demands)) {
-    entries_scratch_.clear();
-    if (!run_group(scratch_, demands, indices, entries_scratch_,
-                   failed_demand)) {
-      return false;
+    if (!route_group(scratch_, demands, indices, failed_demand)) {
+      ok = false;
+      break;
     }
-    for (const LoadEntry& e : entries_scratch_) loads[e.slot] += e.value;
+    propagate(scratch_, [&](SwitchId, const std::vector<LoadEntry>& run) {
+      for (const LoadEntry& e : run) {
+        const FixedLoad f = tbps_to_fixed(e.value);
+        if (f == 0) continue;
+        FixedLoad& total = unbound_totals_[e.slot];
+        if (total == 0) unbound_slots_.push_back(e.slot);
+        total += f;
+      }
+    });
   }
-  return true;
+  for (const std::uint32_t slot : unbound_slots_) {
+    if (ok) loads[slot] += fixed_to_tbps(unbound_totals_[slot]);
+    unbound_totals_[slot] = 0;
+  }
+  unbound_slots_.clear();
+  return ok;
 }
 
 void EcmpRouter::set_num_workers(int n) {
@@ -764,8 +947,10 @@ void EcmpRouter::worker_loop(std::size_t widx) {
       const std::size_t j = next_.fetch_add(1, std::memory_order_relaxed);
       if (j >= njobs_) break;
       std::string fail;
-      const bool ok =
-          recompute_group(scratch, groups_[job_groups_[j]], &fail);
+      job_diff_[j].clear();
+      ChangeSink sink{nullptr, &job_diff_[j]};
+      const bool ok = recompute_group(scratch, groups_[job_groups_[j]],
+                                      jobs_diff_ ? &sink : nullptr, &fail);
       job_ok_[j] = ok ? 1 : 0;
       if (!ok) job_fail_[j] = std::move(fail);
     }
@@ -790,7 +975,10 @@ void EcmpRouter::run_jobs_parallel() {
     const std::size_t j = next_.fetch_add(1, std::memory_order_relaxed);
     if (j >= njobs_) break;
     std::string fail;
-    const bool ok = recompute_group(scratch_, groups_[job_groups_[j]], &fail);
+    job_diff_[j].clear();
+    ChangeSink sink{nullptr, &job_diff_[j]};
+    const bool ok = recompute_group(scratch_, groups_[job_groups_[j]],
+                                    jobs_diff_ ? &sink : nullptr, &fail);
     job_ok_[j] = ok ? 1 : 0;
     if (!ok) job_fail_[j] = std::move(fail);
   }

@@ -14,10 +14,21 @@ using klotski::testing::small_dmag_case;
 using klotski::testing::small_hgrid_case;
 using klotski::testing::small_ssw_case;
 
+// The task name is an inline array after the numbers, not a pointer, and
+// the cases live in a static table (zeroed padding and tail bytes), so the
+// parameter bytes gtest prints into each test name are the same on every
+// build.
 struct PlannerCase {
-  const char* task;
   double theta;
   double alpha;
+  char task[8];  // "hgrid" | "ssw" | "dmag"
+};
+
+constexpr PlannerCase kPlannerCases[] = {
+    {0.75, 0.0, "hgrid"}, {0.65, 0.0, "hgrid"}, {0.95, 0.0, "hgrid"},
+    {0.75, 0.5, "hgrid"}, {0.75, 1.0, "hgrid"}, {0.75, 0.0, "ssw"},
+    {0.55, 0.0, "ssw"},   {0.75, 0.3, "ssw"},   {0.75, 0.0, "dmag"},
+    {0.85, 0.2, "dmag"},
 };
 
 std::string case_name(const ::testing::TestParamInfo<PlannerCase>& info) {
@@ -83,18 +94,7 @@ TEST_P(PlannerOptimality, AStarAndDpMatchBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, PlannerOptimality,
-    ::testing::Values(PlannerCase{"hgrid", 0.75, 0.0},
-                      PlannerCase{"hgrid", 0.65, 0.0},
-                      PlannerCase{"hgrid", 0.95, 0.0},
-                      PlannerCase{"hgrid", 0.75, 0.5},
-                      PlannerCase{"hgrid", 0.75, 1.0},
-                      PlannerCase{"ssw", 0.75, 0.0},
-                      PlannerCase{"ssw", 0.55, 0.0},
-                      PlannerCase{"ssw", 0.75, 0.3},
-                      PlannerCase{"dmag", 0.75, 0.0},
-                      PlannerCase{"dmag", 0.85, 0.2}),
-    case_name);
+    Sweep, PlannerOptimality, ::testing::ValuesIn(kPlannerCases), case_name);
 
 // ---------------------------------------------------------------------------
 // Ablation variants stay optimal.

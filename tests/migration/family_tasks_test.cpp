@@ -178,6 +178,15 @@ struct FamilyPreset {
   topo::PresetId preset;
 };
 
+// A static table has zeroed padding, so the parameter bytes gtest prints
+// into each test name are the same on every build.
+constexpr FamilyPreset kFamilyPresets[] = {
+    {topo::TopologyFamily::kFlat, topo::PresetId::kA},
+    {topo::TopologyFamily::kFlat, topo::PresetId::kB},
+    {topo::TopologyFamily::kReconf, topo::PresetId::kA},
+    {topo::TopologyFamily::kReconf, topo::PresetId::kB},
+};
+
 class FamilyFeasibility : public ::testing::TestWithParam<FamilyPreset> {};
 
 TEST_P(FamilyFeasibility, OptimalPlannersAgreeAndPassAudit) {
@@ -206,12 +215,7 @@ TEST_P(FamilyFeasibility, OptimalPlannersAgreeAndPassAudit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    FamilyGrid, FamilyFeasibility,
-    ::testing::Values(
-        FamilyPreset{topo::TopologyFamily::kFlat, topo::PresetId::kA},
-        FamilyPreset{topo::TopologyFamily::kFlat, topo::PresetId::kB},
-        FamilyPreset{topo::TopologyFamily::kReconf, topo::PresetId::kA},
-        FamilyPreset{topo::TopologyFamily::kReconf, topo::PresetId::kB}),
+    FamilyGrid, FamilyFeasibility, ::testing::ValuesIn(kFamilyPresets),
     [](const auto& info) {
       return topo::to_string(info.param.family) + "_" +
              topo::to_string(info.param.preset);

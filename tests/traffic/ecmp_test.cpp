@@ -162,6 +162,13 @@ struct ConservationCase {
   std::uint64_t seed;
 };
 
+// A static table has zeroed padding, so the parameter bytes gtest prints
+// into each test name are the same on every build.
+constexpr ConservationCase kConservationCases[] = {
+    {topo::PresetId::kA, 1}, {topo::PresetId::kA, 2}, {topo::PresetId::kB, 3},
+    {topo::PresetId::kB, 4}, {topo::PresetId::kC, 5},
+};
+
 class EcmpConservation
     : public ::testing::TestWithParam<ConservationCase> {};
 
@@ -211,12 +218,7 @@ TEST_P(EcmpConservation, InjectedVolumeIsAbsorbed) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Seeds, EcmpConservation,
-    ::testing::Values(ConservationCase{topo::PresetId::kA, 1},
-                      ConservationCase{topo::PresetId::kA, 2},
-                      ConservationCase{topo::PresetId::kB, 3},
-                      ConservationCase{topo::PresetId::kB, 4},
-                      ConservationCase{topo::PresetId::kC, 5}),
+    Seeds, EcmpConservation, ::testing::ValuesIn(kConservationCases),
     [](const auto& info) {
       return to_string(info.param.preset) + "_seed" +
              std::to_string(info.param.seed);
