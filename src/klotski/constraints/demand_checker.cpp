@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 #include "klotski/obs/metrics.h"
 #include "klotski/util/string_util.h"
@@ -13,6 +14,20 @@ DemandChecker::DemandChecker(traffic::EcmpRouter& router,
                              DemandCheckerParams params)
     : router_(router), demands_(std::move(demands)), params_(params) {
   router_.bind_demands(demands_);
+}
+
+void DemandChecker::set_volumes(const std::vector<double>& volumes) {
+  if (volumes.size() != demands_.size()) {
+    throw std::invalid_argument("DemandChecker::set_volumes: " +
+                                std::to_string(volumes.size()) +
+                                " volumes for " +
+                                std::to_string(demands_.size()) + " demands");
+  }
+  for (std::size_t i = 0; i < volumes.size(); ++i) {
+    demands_[i].volume_tbps = volumes[i];
+  }
+  memo_valid_ = false;
+  router_.rebind_volumes(demands_);
 }
 
 Verdict DemandChecker::check(const topo::Topology& topo) {

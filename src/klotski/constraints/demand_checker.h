@@ -12,7 +12,8 @@
 // so repeated checks reuse per-target-set routing caches, and memoizes its
 // last verdict keyed on the topology's state version: re-checking an
 // unchanged topology is O(1). The memo is dropped whenever theta or the
-// demand set changes.
+// demand set changes. set_volumes swaps in new volumes over the same demands
+// without dropping the router's routing, the what-if engine's hot path.
 //
 // The verdict is incremental too. The checker keeps every circuit's
 // utilization, and the max of each block of 64 circuits, synced to the
@@ -60,6 +61,12 @@ class DemandChecker : public Checker {
     router_.bind_demands(demands_);
     memo_valid_ = false;
   }
+  /// Replaces only the demand volumes, one per demand in order: the router
+  /// keeps its routing and the next check re-propagates the new volumes
+  /// (EcmpRouter::rebind_volumes). Verdicts are exactly those of
+  /// set_demands with the same set. Throws std::invalid_argument on a size
+  /// mismatch, or when the volumes are out of the router's exact range.
+  void set_volumes(const std::vector<double>& volumes);
   const traffic::DemandSet& demands() const { return demands_; }
   const DemandCheckerParams& params() const { return params_; }
   void set_max_utilization(double theta) {

@@ -49,6 +49,11 @@
 //    worker pool (per-worker scratch, per-job diff buffers); the calling
 //    thread applies the diffs, and exact totals make the result
 //    bit-identical to the serial engine, logical counters included.
+//  * Volume-only rebinds — rebind_volumes keeps every group's routing when
+//    only demand volumes changed. A group the topology left alone is then
+//    re-propagated over its stored runs without a BFS, with the same float
+//    operations in the same order as a fresh propagation (repropagate_group
+//    states the rule and why it is exact).
 #pragma once
 
 #include <algorithm>
@@ -208,7 +213,8 @@ class EcmpRouter {
   /// Declares `demands` the router's resident demand set: target-set groups
   /// are built once here (not O(n^2) per check) and assign_bound keeps
   /// per-group results across calls. The caller owns the set and must
-  /// rebind after mutating it (DemandChecker does this on set_demands).
+  /// rebind after mutating it (DemandChecker does this on set_demands, and
+  /// calls rebind_volumes when only volumes changed).
   /// Binding another set drops the previous binding. Throws
   /// std::invalid_argument, leaving the router unbound, when the set's
   /// volume is out of FixedLoad range.
@@ -216,6 +222,14 @@ class EcmpRouter {
   bool bound_to(const DemandSet& demands) const {
     return bound_ == &demands && demands.size() == bound_size_;
   }
+
+  /// The caller changed only the volume_tbps of `demands` in place (names,
+  /// kinds, sources and targets as bound). When `demands` is the bound set,
+  /// the groups keep their routing and the next assign_bound re-propagates
+  /// the new volumes without a BFS wherever the topology allows; otherwise
+  /// this is bind_demands. Throws std::invalid_argument, leaving the router
+  /// unbound, when the new volumes are out of FixedLoad range.
+  void rebind_volumes(const DemandSet& demands);
 
   /// The satisfiability-check hot path at O(10,000)-switch scale: assigns
   /// the bound set into the router's own exact totals, recomputing only the
@@ -235,9 +249,9 @@ class EcmpRouter {
   /// Bumped by every successful assign_bound. When it advanced by exactly
   /// one since a consumer last read the totals and totals_rebuilt() is
   /// false, for_each_changed_circuit visits every circuit whose total
-  /// changed in between, ascending. A failed assignment, a rebind,
-  /// set_split_mode, the first call, or a journal gap rebuilds the totals
-  /// from scratch instead; consumers must then rescan.
+  /// changed in between, ascending. A failed assignment, a rebind (volume
+  /// only or not), set_split_mode, the first call, or a journal gap
+  /// rebuilds the totals from scratch instead; consumers must then rescan.
   std::uint64_t totals_generation() const { return totals_generation_; }
   bool totals_rebuilt() const { return totals_rebuilt_; }
   template <typename Fn>
@@ -276,7 +290,8 @@ class EcmpRouter {
   }
 
   /// Group recomputations saved by the incremental cache (diagnostics).
-  /// Logical counters: invariant under num_workers.
+  /// Logical counters: invariant under num_workers. They count the
+  /// screen's decisions, so a volume-only re-propagation is neither.
   long long group_recomputes() const { return group_recomputes_; }
   long long group_reuses() const { return group_reuses_; }
 
@@ -430,6 +445,23 @@ class EcmpRouter {
   bool recompute_group(Scratch& s, DemandGroup& g, ChangeSink* sink,
                        std::string* failed_demand) const;
 
+  /// Rewrites the values of a topology-clean group's runs for the bound
+  /// set's new volumes, walking its stored emitters instead of a BFS.
+  /// Returns false, with the runs partly rewritten, when the new volumes
+  /// would change which switches emit; the caller then recomputes.
+  bool repropagate_group(Scratch& s, DemandGroup& g) const;
+
+  /// What assign_bound does with one group (dirty_scratch_ values;
+  /// mark_dirty_groups' dirty flag 1 is kRecompute).
+  enum GroupWork : std::uint8_t { kReuse = 0, kRecompute = 1, kRepropagate = 2 };
+  /// Brings group `gi` up to date as dirty_scratch_[gi] says:
+  /// re-propagation (falling back to a recompute) or recompute_group.
+  bool update_group(Scratch& s, std::size_t gi, ChangeSink* sink,
+                    std::string* failed_demand);
+  /// Whether any of the group's demands has a volume other than the one
+  /// its entries were propagated with.
+  bool volumes_moved(const DemandGroup& g) const;
+
   /// Slides the group's live runs to the front of its entry store, in
   /// place; safe in the middle of a recompute's propagation.
   void pack_entries(Scratch& s, DemandGroup& g) const;
@@ -451,7 +483,7 @@ class EcmpRouter {
 
   /// Applies one changed slot to totals_ and records its circuit.
   void apply_change(std::uint32_t slot, double before, double after);
-  /// Rebuilds totals_ and the non-zero set from every group's entries.
+  /// Rebuilds totals_ and the non-zero set from every group's live runs.
   void rebuild_totals(std::size_t load_size);
 
   /// Brings the liveness words (and, on full rebuilds, the inlined arc
@@ -521,6 +553,10 @@ class EcmpRouter {
   std::vector<DemandGroup> groups_;
   bool groups_ready_ = false;
   std::uint64_t groups_version_ = 0;
+  // Per bound demand, the volume the groups' entries were propagated with;
+  // valid while !volumes_stale_ (set by binding and by rebind_volumes).
+  std::vector<double> routed_volumes_;
+  bool volumes_stale_ = true;
   // Exact totals of the bound set: totals_[slot] is the sum of every
   // group's entries for that slot.
   std::vector<FixedLoad> totals_;
@@ -567,6 +603,8 @@ class EcmpRouter {
   obs::Counter& m_dirty_screen_circuits_;
   obs::Counter& m_diff_changed_slots_;
   obs::Counter& m_diff_unchanged_entries_;
+  obs::Counter& m_volume_repropagations_;
+  obs::Counter& m_volume_fallbacks_;
 };
 
 /// Maximum utilization over circuits given directional loads; utilization of

@@ -18,6 +18,7 @@
 // end < start is rejected at add time.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,9 @@ class Forecaster {
   /// `growth_per_step` is compound organic growth per migration step
   /// (e.g. 0.002 for ~0.2% per step).
   Forecaster(DemandSet base, double growth_per_step);
+  /// Shares `base` (never modified) instead of copying it, so many
+  /// forecasters over one demand set cost one copy of it.
+  Forecaster(std::shared_ptr<const DemandSet> base, double growth_per_step);
 
   void add_surge(SurgeEvent event);
   void add_bias(ForecastBias bias);
@@ -67,6 +71,10 @@ class Forecaster {
   /// active at that step.
   DemandSet forecast_at_step(int step) const;
 
+  /// The volumes of forecast_at_step(step), one per base demand in order,
+  /// written into `out` without copying the demand set; bit-equal to it.
+  void forecast_volumes_at_step(int step, std::vector<double>& out) const;
+
   /// True when at least one bias is active at `step`, i.e. forecast_at_step
   /// and at_step disagree.
   bool biased_at(int step) const;
@@ -76,10 +84,16 @@ class Forecaster {
   double max_relative_change(int from_step, int to_step) const;
 
   double growth_per_step() const { return growth_; }
-  const DemandSet& base() const { return base_; }
+  const DemandSet& base() const { return *base_; }
 
  private:
-  DemandSet base_;
+  /// at_step's factor for one demand: `growth` (growth^step) times every
+  /// active surge factor, in insertion order.
+  double actual_factor(const Demand& d, int step, double growth) const;
+  /// forecast_at_step's volume of one demand from its at_step volume.
+  double apply_biases(const Demand& d, int step, double volume) const;
+
+  std::shared_ptr<const DemandSet> base_;
   double growth_;
   std::vector<SurgeEvent> surges_;
   std::vector<ForecastBias> biases_;

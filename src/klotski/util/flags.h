@@ -22,6 +22,9 @@ class Flags {
   /// Throws std::invalid_argument (naming the flag) when the value is not
   /// a fully-consumed integer, e.g. `--threads=abc` or `--threads=4x`.
   long long get_int(const std::string& name, long long fallback) const;
+  /// get_int for an int-typed option: also throws when the value does not
+  /// fit in an int, instead of letting a cast truncate it.
+  int get_int32(const std::string& name, int fallback) const;
   /// Throws std::invalid_argument (naming the flag) when the value is not
   /// a fully-consumed number. Locale-independent (std::from_chars).
   double get_double(const std::string& name, double fallback) const;

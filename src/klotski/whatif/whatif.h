@@ -14,11 +14,18 @@
 // per phase, and the uniform demand multiplier the plan provably tolerates
 // (binary-searched "safe growth margin").
 //
+// Work order: each worker walks a chunk of trajectories phase by phase, so
+// a phase is materialized once and every trajectory's check after the first
+// changes only demand volumes (DemandChecker::set_volumes), which the ECMP
+// router re-propagates without a BFS. The margin search runs as one item
+// per plan state on the same pool (DESIGN.md §13 has the proof that the
+// per-state bisections fold to the serial one).
+//
 // Determinism contract: the report is a pure function of (inputs, seed, N)
 // — trajectory i's future is derived from hash_combine(seed, i) alone,
-// workers claim trajectory indices from an atomic counter but store results
-// by index, and aggregation runs serially in index order. Reports are
-// byte-identical at any thread count, which tier-1 asserts.
+// workers claim chunks and margin states from an atomic counter but store
+// results by index, and aggregation runs serially in index order. Reports
+// are byte-identical at any thread count, which tier-1 asserts.
 #pragma once
 
 #include <atomic>
@@ -112,15 +119,18 @@ struct WhatIfReport {
 };
 
 /// Builds a fresh, identical copy of the migration under test. Called once
-/// per sweep worker (trajectories mutate topology state), so it must be
-/// deterministic: every returned case must be element-for-element identical.
+/// per sweep worker, and only there (trajectories mutate topology state),
+/// so it must be deterministic: every returned case must be
+/// element-for-element identical.
 using CaseFactory = std::function<migration::MigrationCase()>;
 
 /// Runs the sweep + margin search. `plan` must be a valid plan for the
 /// factory's case (block indices resolve against it). `stop` is an optional
-/// cooperative stop flag polled between trajectories; a stopped run reports
-/// the completed prefix with stopped = true. Throws std::invalid_argument
-/// on bad params.
+/// cooperative stop flag, polled before every check of a trajectory chunk
+/// and between bisection steps. A stopped run sets stopped = true, reports
+/// the trajectories it finished, and skips the margin search (leaving
+/// safe_growth_margin at 1, unsaturated). Throws std::invalid_argument on
+/// bad params.
 WhatIfReport run_whatif(const CaseFactory& factory, const core::Plan& plan,
                         const WhatIfParams& params,
                         const std::atomic<bool>* stop = nullptr);

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "klotski/traffic/forecast.h"
 
@@ -112,6 +116,34 @@ TEST(Forecast, BiasAndSurgeOnTheSameStepFoldSurgeFirst) {
   EXPECT_EQ(f.forecast_at_step(2)[0].volume_tbps, actual * 1.2);
   EXPECT_TRUE(f.biased_at(2));
   EXPECT_FALSE(f.biased_at(3));  // end exclusive
+}
+
+TEST(Forecast, VolumesAtStepAreBitEqualToForecastAtStep) {
+  // Two forecasters sharing one base, with growth, overlapping surges and
+  // overlapping biases on both kinds.
+  const auto base = std::make_shared<const DemandSet>(base_demands());
+  Forecaster f(base, 0.0037);
+  f.add_surge(SurgeEvent{"s1", DemandKind::kEgress, 1, 4, 1.37});
+  f.add_surge(SurgeEvent{"s2", DemandKind::kEgress, 2, 6, 0.91});
+  f.add_surge(SurgeEvent{"s3", DemandKind::kEastWest, 0, 3, 1.13});
+  f.add_bias(ForecastBias{"b1", DemandKind::kEgress, 2, 5, 1.17});
+  f.add_bias(ForecastBias{"b2", DemandKind::kEgress, 3, 5, 0.83});
+  f.add_bias(ForecastBias{"b3", DemandKind::kEastWest, 1, 2, 1.29});
+  Forecaster other(base, -0.002);
+  std::vector<double> volumes;
+  for (int step = 0; step <= 7; ++step) {
+    for (const Forecaster* forecaster : {&f, &other}) {
+      forecaster->forecast_volumes_at_step(step, volumes);
+      const DemandSet want = forecaster->forecast_at_step(step);
+      ASSERT_EQ(volumes.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(volumes[i]),
+                  std::bit_cast<std::uint64_t>(want[i].volume_tbps))
+            << "step " << step << " demand " << i;
+      }
+    }
+  }
+  EXPECT_EQ(&f.base(), base.get());
 }
 
 TEST(Forecast, ZeroLengthWindowsAreValidAndNeverActive) {

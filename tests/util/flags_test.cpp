@@ -91,6 +91,22 @@ TEST(Flags, AcceptsWellFormedNumbers) {
   EXPECT_DOUBLE_EQ(parse({"--d=-0.5"}).get_double("d", 0.0), -0.5);
 }
 
+TEST(Flags, Int32RejectsValuesOutsideInt) {
+  EXPECT_EQ(parse({"--n=2147483647"}).get_int32("n", 0), 2147483647);
+  EXPECT_EQ(parse({"--n=-2147483648"}).get_int32("n", 0), -2147483647 - 1);
+  EXPECT_EQ(parse({}).get_int32("n", 7), 7);
+  // 2^32 + 1 would truncate to 1 through a cast.
+  try {
+    parse({"--trajectories=4294967297"}).get_int32("trajectories", 1);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--trajectories"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(parse({"--n=-2147483649"}).get_int32("n", 0),
+               std::invalid_argument);
+}
+
 TEST(Flags, BareBooleanIsNotANumber) {
   // `--threads` with no value stores "true": numeric reads must reject it
   // loudly instead of yielding 0.

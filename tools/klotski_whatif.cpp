@@ -60,21 +60,18 @@ using namespace klotski;
 
 whatif::WhatIfParams params_from_flags(const util::Flags& flags) {
   whatif::WhatIfParams params;
-  params.trajectories =
-      static_cast<int>(flags.get_int("trajectories", 100));
+  params.trajectories = flags.get_int32("trajectories", 100);
   params.seed = static_cast<std::uint64_t>(flags.get_int("seed", 0));
-  params.threads = static_cast<int>(flags.get_int("threads", 1));
+  params.threads = flags.get_int32("threads", 1);
   params.growth_min = flags.get_double("growth-min", 0.0);
   params.growth_max = flags.get_double("growth-max", 0.004);
-  params.surges = static_cast<int>(flags.get_int("surges", 1));
-  params.forecast_errors =
-      static_cast<int>(flags.get_int("forecast-errors", 1));
+  params.surges = flags.get_int32("surges", 1);
+  params.forecast_errors = flags.get_int32("forecast-errors", 1);
   params.surge_factor_min = flags.get_double("surge-factor-min", 0.8);
   params.surge_factor_max = flags.get_double("surge-factor-max", 1.5);
   params.bias_factor_min = flags.get_double("bias-factor-min", 0.85);
   params.bias_factor_max = flags.get_double("bias-factor-max", 1.2);
-  params.margin_iterations =
-      static_cast<int>(flags.get_int("margin-iterations", 16));
+  params.margin_iterations = flags.get_int32("margin-iterations", 16);
   params.margin_max = flags.get_double("margin-max", 4.0);
   params.checker.demand.max_utilization = flags.get_double("theta", 0.75);
   params.checker.demand.funneling_margin = flags.get_double("funneling", 0.0);
@@ -121,6 +118,7 @@ int run(const util::Flags& flags) {
   }
   const std::string out_path = flags.get_string("out", "");
   const std::string demands_path = flags.get_string("demands", "");
+  const whatif::WhatIfParams params = params_from_flags(flags);
 
   const json::Value npd_json = json::parse(util::read_file(npd_path));
   const json::Value plan_json = json::parse(util::read_file(plan_path));
@@ -128,7 +126,6 @@ int run(const util::Flags& flags) {
   if (!demands_path.empty()) {
     demands_json = json::parse(util::read_file(demands_path));
   }
-  const whatif::WhatIfParams params = params_from_flags(flags);
 
   // Remote mode: the sweep runs inside a klotski_served worker as one
   // cooperative-stop-aware batch job; repeated identical requests are
