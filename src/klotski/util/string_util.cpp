@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 
 namespace klotski::util {
 
@@ -82,6 +84,15 @@ std::string with_commas(long long value) {
     out.push_back(digits[i]);
   }
   return negative ? "-" + out : out;
+}
+
+int checked_int(long long value, std::string_view what) {
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(std::string(what) + ": " +
+                                std::to_string(value) + " is out of range");
+  }
+  return static_cast<int>(value);
 }
 
 }  // namespace klotski::util

@@ -30,4 +30,9 @@ std::string format_double(double value, int max_precision = 3);
 /// Human formatting with thousands separators: 123456 -> "123,456".
 std::string with_commas(long long value);
 
+/// Narrows a parsed integer to int, throwing std::invalid_argument
+/// ("<what>: <value> is out of range") when it does not fit, instead of
+/// letting a cast truncate it.
+int checked_int(long long value, std::string_view what);
+
 }  // namespace klotski::util
